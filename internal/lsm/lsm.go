@@ -226,15 +226,43 @@ func (t *Tree) writeTableRetried(id uint64, level int, entries []kv, off int64, 
 	return tbl, next, err
 }
 
-// tableReadAll loads a whole table through the retry loop.
-func (t *Tree) tableReadAll(tbl *sstable, ch *sim.Charger) ([]kv, error) {
-	var out []kv
+// readRecords fetches records [i, j) of tbl with one device read, through
+// the retry loop and under the op's charger: a cancelled context stops
+// before the read is issued, and a transient fault is retried.
+func (t *Tree) readRecords(tbl *sstable, i, j int, ch *sim.Charger) ([]byte, error) {
+	off, n := tbl.dataOff+tbl.recStart(i), int(tbl.recStart(j)-tbl.recStart(i))
+	var raw []byte
 	err := t.cfg.Retry.DoCtx(ch.Context(), &t.stats.Retry, func() error {
 		var rerr error
-		out, rerr = tbl.readAll(t.cfg.Device, ch)
+		raw, rerr = t.cfg.Device.ReadAt(off, n, ch)
 		return rerr
 	})
-	return out, err
+	return raw, err
+}
+
+// decodeRecord parses record i of tbl in place out of buf, which
+// readRecords fetched from record lo on. The entry aliases buf: the device
+// hands every read a fresh buffer and never reuses it, so callers may retain
+// key and value. A record that fails its checksum, is not the length the
+// index recorded, or carries another key than the index does, is corrupt.
+func (t *Tree) decodeRecord(tbl *sstable, buf []byte, lo, i int) (kv, error) {
+	base := tbl.recStart(lo)
+	raw := buf[tbl.recStart(i)-base : tbl.recStart(i+1)-base]
+	e, consumed, err := parseRecord(raw)
+	switch {
+	case err != nil:
+	case consumed != len(raw):
+		err = fmt.Errorf("%w: record length mismatch", ErrCorrupt)
+	case !bytes.Equal(e.key, tbl.key(i)):
+		err = fmt.Errorf("%w: record key differs from index", ErrCorrupt)
+	}
+	if err != nil {
+		// The transfer succeeded but a record failed verification: count a
+		// failed physical read, not a logical one.
+		t.cfg.Device.Stats().ReclassifyRead()
+		return kv{}, err
+	}
+	return e, nil
 }
 
 // flushLocked writes the memtable to a new L0 table (one large write),
@@ -311,10 +339,11 @@ func (t *Tree) get(key []byte, ch *sim.Charger) (_ []byte, _ bool, err error) {
 		sp.End(err)
 	}()
 	if v, tomb, found := t.mem.get(key, ch); found {
-		return v, !tomb && true, nil
+		return v, !tomb, nil
 	}
+	h1, h2 := bloomHashes(key)
 	for _, tbl := range t.levels[0] {
-		e, found, err := t.tableGet(tbl, key, ch, &sp)
+		e, found, err := t.tableGet(tbl, key, h1, h2, ch, &sp)
 		if err != nil {
 			return nil, false, err
 		}
@@ -330,7 +359,7 @@ func (t *Tree) get(key []byte, ch *sim.Charger) (_ []byte, _ bool, err error) {
 		if i >= len(tables) || bytes.Compare(key, tables[i].min) < 0 {
 			continue
 		}
-		e, found, err := t.tableGet(tables[i], key, ch, &sp)
+		e, found, err := t.tableGet(tables[i], key, h1, h2, ch, &sp)
 		if err != nil {
 			return nil, false, err
 		}
@@ -341,24 +370,32 @@ func (t *Tree) get(key []byte, ch *sim.Charger) (_ []byte, _ bool, err error) {
 	return nil, false, nil
 }
 
-func (t *Tree) tableGet(tbl *sstable, key []byte, ch *sim.Charger, sp *obs.Span) (kv, bool, error) {
-	if !tbl.filter.mayContain(key) {
-		if ch != nil {
-			ch.Hash()
-		}
+// tableGet looks key up in one table: bloom probe with the lookup's hash
+// pair, binary search of the resident index, then one device read for the
+// record.
+func (t *Tree) tableGet(tbl *sstable, key []byte, h1, h2 uint64, ch *sim.Charger, sp *obs.Span) (kv, bool, error) {
+	if ch != nil {
+		ch.Hash()
+	}
+	if !tbl.filter.mayContain(h1, h2) {
 		t.stats.BloomSkips.Inc()
 		return kv{}, false, nil
 	}
 	t.stats.TableReads.Inc()
 	sp.Miss() // bloom filter passed: this lookup reads the table on device
-	var e kv
-	var found bool
-	err := t.cfg.Retry.DoCtx(ch.Context(), &t.stats.Retry, func() error {
-		var gerr error
-		e, found, gerr = tbl.get(t.cfg.Device, key, ch)
-		return gerr
-	})
-	return e, found, err
+	i := tbl.search(key)
+	if ch != nil {
+		ch.Compare(ilog2(tbl.entries()))
+	}
+	if i >= tbl.entries() || !bytes.Equal(tbl.key(i), key) {
+		return kv{}, false, nil
+	}
+	raw, err := t.readRecords(tbl, i, i+1, ch)
+	if err != nil {
+		return kv{}, false, err
+	}
+	e, err := t.decodeRecord(tbl, raw, i, i)
+	return e, err == nil, err
 }
 
 // levelBytes sums a level's data bytes.
@@ -438,51 +475,53 @@ func (t *Tree) compactLocked(lvl int, ch *sim.Charger) error {
 		}
 	}
 
-	// K-way merge: newest source wins per key. Sources ordered newest
-	// first: ups are newer than downs; within L0 ups are already
-	// newest-first; a deeper "up" level has a single table.
-	sources := make([][]kv, 0, len(ups)+len(downs))
-	for _, tb := range ups {
-		entries, err := t.tableReadAll(tb, nil)
-		if err != nil {
-			return err
-		}
-		sources = append(sources, entries)
+	// Merge newest first: ups are newer than downs; within L0 ups are
+	// already newest-first; a deeper "up" level has a single table. Each
+	// table is read whole, in one large I/O, when its first record is due.
+	// The reads are charged to no operation; ch pays for the comparisons.
+	it := mergeIter{dropTombs: next == len(t.levels)-1, ch: ch}
+	for i := range ups {
+		it.add(t.newTableCursor(ups[i:i+1], nil, 0, nil, nil))
 	}
-	for _, tb := range downs {
-		entries, err := t.tableReadAll(tb, nil)
-		if err != nil {
-			return err
-		}
-		sources = append(sources, entries)
-	}
-	merged := mergeSources(sources, next == len(t.levels)-1)
-	if ch != nil {
-		for _, s := range sources {
-			ch.Compare(len(s))
-		}
-	}
+	it.add(t.newTableCursor(downs, nil, 0, nil, nil))
 
-	// Write merged runs as tables capped near the memtable size. Allocation
-	// state advances in locals and commits only if every write succeeds.
+	// Write merged runs as tables capped near the memtable size, as they
+	// fill. Allocation state advances in locals and commits only if every
+	// write succeeds.
 	var newTables []*sstable
 	newTail, nextID := t.tail, t.nextID
-	capBytes := int64(t.cfg.MemtableBytes)
-	for start := 0; start < len(merged); {
-		var sz int64
-		end := start
-		for end < len(merged) && sz < capBytes {
-			sz += int64(len(merged[end].key) + len(merged[end].val) + 8)
-			end++
-		}
-		tbl, nt, err := t.writeTableRetried(nextID, next, merged[start:end], newTail, ch)
+	var run []kv
+	var runBytes int
+	writeRun := func() error {
+		tbl, nt, err := t.writeTableRetried(nextID, next, run, newTail, ch)
 		if err != nil {
 			return err
 		}
 		nextID++
 		newTail = nt
 		newTables = append(newTables, tbl)
-		start = end
+		run, runBytes = run[:0], 0
+		return nil
+	}
+	for {
+		e, ok, err := it.next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		run = append(run, e)
+		if runBytes += len(e.key) + len(e.val) + 8; runBytes >= t.cfg.MemtableBytes {
+			if err := writeRun(); err != nil {
+				return err
+			}
+		}
+	}
+	if len(run) > 0 {
+		if err := writeRun(); err != nil {
+			return err
+		}
 	}
 
 	// All replacement tables are durable: commit the new table set.
@@ -512,51 +551,6 @@ func (t *Tree) compactLocked(lvl int, ch *sim.Charger) error {
 	return nil
 }
 
-// mergeSources merges newest-first sources; dropTombs elides tombstones
-// (safe only at the bottom level).
-func mergeSources(sources [][]kv, dropTombs bool) []kv {
-	type cursor struct {
-		src []kv
-		pos int
-	}
-	curs := make([]cursor, len(sources))
-	for i, s := range sources {
-		curs[i] = cursor{src: s}
-	}
-	var out []kv
-	for {
-		best := -1
-		for i := range curs {
-			if curs[i].pos >= len(curs[i].src) {
-				continue
-			}
-			if best == -1 {
-				best = i
-				continue
-			}
-			c := bytes.Compare(curs[i].src[curs[i].pos].key, curs[best].src[curs[best].pos].key)
-			if c < 0 {
-				best = i
-			}
-			// c == 0: earlier source (newer) wins; keep best.
-		}
-		if best == -1 {
-			return out
-		}
-		e := curs[best].src[curs[best].pos]
-		key := e.key
-		for i := range curs {
-			for curs[i].pos < len(curs[i].src) && bytes.Equal(curs[i].src[curs[i].pos].key, key) {
-				curs[i].pos++ // consume duplicates in all sources
-			}
-		}
-		if e.tombstone && dropTombs {
-			continue
-		}
-		out = append(out, e)
-	}
-}
-
 // Scan visits live keys >= start in order, merging the memtable with all
 // tables, until fn returns false or limit pairs are visited (limit <= 0
 // means unlimited). It holds a shared lock for a consistent snapshot.
@@ -584,56 +578,30 @@ func (t *Tree) scan(start []byte, limit int, fn func(k, v []byte) bool, ch *sim.
 		sp.End(err)
 	}()
 
-	// Materialize sources newest-first. Scans over on-device tables read
-	// each table once (large sequential reads, charged to the charger).
-	var sources [][]kv
-	var memRun []kv
-	for e := t.mem.seek(start); e != nil; e = e.next[0] {
-		memRun = append(memRun, kv{key: e.key, val: e.val, tombstone: e.tombstone})
+	// Sources newest first: memtable, each L0 table, one cursor per deeper
+	// level. A bounded scan reads ahead limit records per fetch, because no
+	// source can contribute more rows than that; an unlimited one reads each
+	// table whole when its turn comes.
+	it := mergeIter{dropTombs: true, ch: ch}
+	it.add(&memCursor{e: t.mem.seek(start)})
+	for i := range t.levels[0] {
+		it.add(t.newTableCursor(t.levels[0][i:i+1], start, limit, ch, &sp))
 	}
-	sources = append(sources, memRun)
-	for _, tbl := range t.levels[0] {
-		sp.Miss() // each table contributes a sequential device read
-		entries, err := t.tableReadAll(tbl, ch)
-		if err != nil {
+	for _, tables := range t.levels[1:] {
+		if len(tables) > 0 {
+			it.add(t.newTableCursor(tables, start, limit, ch, &sp))
+		}
+	}
+	for visited := 0; limit <= 0 || visited < limit; visited++ {
+		e, ok, err := it.next()
+		if err != nil || !ok {
 			return err
-		}
-		sources = append(sources, trimBelow(entries, start))
-	}
-	for lvl := 1; lvl < len(t.levels); lvl++ {
-		var run []kv
-		for _, tbl := range t.levels[lvl] {
-			if bytes.Compare(tbl.max, start) < 0 {
-				continue
-			}
-			sp.Miss()
-			entries, err := t.tableReadAll(tbl, ch)
-			if err != nil {
-				return err
-			}
-			run = append(run, trimBelow(entries, start)...)
-		}
-		sources = append(sources, run)
-	}
-	merged := mergeSources(sources, true)
-	visited := 0
-	for _, e := range merged {
-		if limit > 0 && visited >= limit {
-			return nil
 		}
 		if !fn(e.key, e.val) {
 			return nil
 		}
-		visited++
 	}
 	return nil
-}
-
-func trimBelow(entries []kv, start []byte) []kv {
-	i := sort.Search(len(entries), func(i int) bool {
-		return bytes.Compare(entries[i].key, start) >= 0
-	})
-	return entries[i:]
 }
 
 // TableCount returns the number of SSTables per level (for tests and

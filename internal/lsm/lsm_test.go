@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"costperf/internal/obs"
 	"costperf/internal/sim"
 	"costperf/internal/ssd"
 	"costperf/internal/workload"
@@ -65,16 +67,16 @@ func TestMemtableBasics(t *testing.T) {
 func TestBloomFilter(t *testing.T) {
 	b := newBloom(1000)
 	for i := 0; i < 1000; i++ {
-		b.add(workload.Key(uint64(i)))
+		b.add(bloomHashes(workload.Key(uint64(i))))
 	}
 	for i := 0; i < 1000; i++ {
-		if !b.mayContain(workload.Key(uint64(i))) {
+		if !b.mayContain(bloomHashes(workload.Key(uint64(i)))) {
 			t.Fatalf("false negative for key %d", i)
 		}
 	}
 	fp := 0
 	for i := 10000; i < 20000; i++ {
-		if b.mayContain(workload.Key(uint64(i))) {
+		if b.mayContain(bloomHashes(workload.Key(uint64(i)))) {
 			fp++
 		}
 	}
@@ -84,7 +86,7 @@ func TestBloomFilter(t *testing.T) {
 }
 
 func TestSSTableRoundTrip(t *testing.T) {
-	dev := ssd.New(ssd.SamsungSSD)
+	tr, dev := newTree(t)
 	entries := []kv{
 		{key: []byte("a"), val: []byte("1")},
 		{key: []byte("b"), val: nil, tombstone: true},
@@ -97,8 +99,16 @@ func TestSSTableRoundTrip(t *testing.T) {
 	if next != tbl.dataLen {
 		t.Fatalf("next offset %d != dataLen %d", next, tbl.dataLen)
 	}
+	if string(tbl.min) != "a" || string(tbl.max) != "c" {
+		t.Fatalf("key range [%q, %q]", tbl.min, tbl.max)
+	}
+	get := func(key string) (kv, bool, error) {
+		var sp obs.Span
+		h1, h2 := bloomHashes([]byte(key))
+		return tr.tableGet(tbl, []byte(key), h1, h2, nil, &sp)
+	}
 	for _, e := range entries {
-		got, found, err := tbl.get(dev, e.key, nil)
+		got, found, err := get(string(e.key))
 		if err != nil || !found {
 			t.Fatalf("get %q: %v %v", e.key, found, err)
 		}
@@ -106,12 +116,44 @@ func TestSSTableRoundTrip(t *testing.T) {
 			t.Fatalf("get %q = %+v", e.key, got)
 		}
 	}
-	if _, found, _ := tbl.get(dev, []byte("zz"), nil); found {
+	if _, found, _ := get("zz"); found {
 		t.Fatal("found absent key")
 	}
-	all, err := tbl.readAll(dev, nil)
-	if err != nil || len(all) != 3 {
-		t.Fatalf("readAll = %d,%v", len(all), err)
+	// An unbounded cursor reads the whole table in one I/O.
+	before := dev.Stats().Reads.Value()
+	all := drain(t, &mergeIter{}, tr.newTableCursor([]*sstable{tbl}, nil, 0, nil, nil))
+	if len(all) != 3 || !all[1].tombstone || string(all[2].key) != "c" {
+		t.Fatalf("cursor over the table = %+v", all)
+	}
+	if got := dev.Stats().Reads.Value() - before; got != 1 {
+		t.Fatalf("whole-table cursor issued %d reads, want 1", got)
+	}
+}
+
+// TestRecordFramingUnchanged pins the on-device record bytes to what the
+// bytes.Buffer encoder this tree started with produced, so tables written
+// before appendRecord replaced it still open.
+func TestRecordFramingUnchanged(t *testing.T) {
+	long := make([]byte, 300)
+	for i := range long {
+		long[i] = byte(i)
+	}
+	for _, c := range []struct {
+		e      kv
+		prefix string // hex of the record, or of its first bytes
+	}{
+		{kv{key: []byte("key-00042"), val: []byte("some value")}, "cc2e815f00096b65792d30303034320a736f6d652076616c7565"},
+		{kv{key: []byte("gone"), tombstone: true}, "b21ea31c0104676f6e6500"},
+		{kv{key: []byte("k"), val: long}, "6aa6cf1f00016bac02000102"},
+	} {
+		rec := appendRecord(nil, c.e)
+		if got := fmt.Sprintf("%x", rec); !strings.HasPrefix(got, c.prefix) || len(rec) != recordSize(c.e) {
+			t.Fatalf("record for %q = %s (%d bytes), want %s... in %d bytes", c.e.key, got, len(rec), c.prefix, recordSize(c.e))
+		}
+		e, n, err := parseRecord(rec)
+		if err != nil || n != len(rec) || !bytes.Equal(e.key, c.e.key) || !bytes.Equal(e.val, c.e.val) || e.tombstone != c.e.tombstone {
+			t.Fatalf("record for %q decodes as %+v, %d, %v", c.e.key, e, n, err)
+		}
 	}
 }
 
@@ -430,21 +472,29 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestMergeSourcesNewestWins(t *testing.T) {
-	newer := []kv{{key: []byte("a"), val: []byte("new")}, {key: []byte("c"), tombstone: true}}
-	older := []kv{{key: []byte("a"), val: []byte("old")}, {key: []byte("b"), val: []byte("b1")}, {key: []byte("c"), val: []byte("c1")}}
-	out := mergeSources([][]kv{newer, older}, false)
-	if len(out) != 3 {
-		t.Fatalf("merged %d entries, want 3", len(out))
+// TestSteadyOverwriteKeepsDeviceFootprintBounded: compaction trims every
+// table it replaces, and neighbouring tables share device chunks, so the
+// device must release a chunk once both neighbours are gone. Otherwise the
+// footprint grows with every put while the live tables stay the same size.
+func TestSteadyOverwriteKeepsDeviceFootprintBounded(t *testing.T) {
+	dev := ssd.New(ssd.SamsungSSD)
+	tr, err := New(Config{Device: dev}) // default tables span several device chunks
+	if err != nil {
+		t.Fatal(err)
 	}
-	if string(out[0].val) != "new" {
-		t.Fatalf("a = %q, want newest", out[0].val)
+	const keys, rounds = 10_000, 20
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < keys*rounds; i++ {
+		id := uint64(rng.Intn(keys))
+		if err := tr.Put(workload.Key(id), workload.ValueFor(id, 100)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !out[2].tombstone {
-		t.Fatal("tombstone lost without dropTombs")
+	if tr.Stats().Compactions.Value() < 10 {
+		t.Fatalf("only %d compactions: not a steady state", tr.Stats().Compactions.Value())
 	}
-	out = mergeSources([][]kv{newer, older}, true)
-	if len(out) != 2 {
-		t.Fatalf("dropTombs merged %d entries, want 2", len(out))
+	live, footprint := tr.DiskBytes(), dev.FootprintBytes()
+	if bound := 3*live + tablesBase; footprint > bound {
+		t.Fatalf("device footprint %d for %d bytes of live tables: want <= %d", footprint, live, bound)
 	}
 }

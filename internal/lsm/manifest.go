@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"costperf/internal/fault"
 )
@@ -114,7 +115,7 @@ func (t *Tree) tableMetasLocked() []tableMeta {
 		for _, tb := range lvl {
 			out = append(out, tableMeta{
 				id: tb.id, level: tb.level,
-				dataOff: tb.dataOff, dataLen: tb.dataLen, entries: tb.entries,
+				dataOff: tb.dataOff, dataLen: tb.dataLen, entries: tb.entries(),
 			})
 		}
 	}
@@ -218,7 +219,7 @@ func Open(cfg Config) (*Tree, error) {
 	}
 	t.attachDeviceHealth()
 	for _, m := range best.tables {
-		tbl, err := t.loadTable(m)
+		tbl, err := t.openTable(m)
 		if err != nil {
 			return nil, fmt.Errorf("lsm: recovering table %d: %w", m.id, err)
 		}
@@ -232,9 +233,13 @@ func Open(cfg Config) (*Tree, error) {
 	return t, nil
 }
 
-// loadTable rebuilds one sstable's in-memory index and bloom filter by
+// openTable rebuilds one sstable's in-memory index and bloom filter by
 // sequentially re-parsing its data region.
-func (t *Tree) loadTable(m tableMeta) (*sstable, error) {
+func (t *Tree) openTable(m tableMeta) (*sstable, error) {
+	// The manifest sizes the index before the data is verified: bound it.
+	if m.entries <= 0 || m.dataLen > math.MaxUint32 || int64(m.entries) > m.dataLen/minRecordSize {
+		return nil, fmt.Errorf("%w: table %d claims %d records in %d bytes", ErrCorrupt, m.id, m.entries, m.dataLen)
+	}
 	var raw []byte
 	err := t.cfg.Retry.Do(&t.stats.Retry, func() error {
 		var rerr error
@@ -244,32 +249,23 @@ func (t *Tree) loadTable(m tableMeta) (*sstable, error) {
 	if err != nil {
 		return nil, err
 	}
-	tbl := &sstable{
-		id: m.id, level: m.level,
-		filter:  newBloom(m.entries),
-		dataOff: m.dataOff, dataLen: m.dataLen,
-		entries: m.entries,
-	}
-	off := 0
-	for off < len(raw) {
+	// The keys take at most what the records' framing leaves of the data;
+	// the arena is cut to its exact size once they are known.
+	tbl := newSSTable(m.id, m.level, m.entries, len(raw)-m.entries*minRecordSize, m.dataOff)
+	for off := 0; off < len(raw) && tbl.entries() < m.entries; {
 		e, consumed, err := parseRecord(raw[off:])
 		if err != nil {
 			return nil, err
 		}
-		tbl.index = append(tbl.index, indexEntry{
-			key: e.key,
-			off: m.dataOff + int64(off),
-			len: int32(consumed),
-		})
-		tbl.filter.add(e.key)
 		off += consumed
+		tbl.addRecord(e.key, off)
 	}
-	if len(tbl.index) != m.entries {
-		return nil, fmt.Errorf("%w: table %d has %d records, manifest says %d",
-			ErrCorrupt, m.id, len(tbl.index), m.entries)
+	if tbl.entries() != m.entries || int(tbl.recStart(m.entries)) != len(raw) {
+		return nil, fmt.Errorf("%w: table %d does not hold the manifest's %d records in %d bytes",
+			ErrCorrupt, m.id, m.entries, m.dataLen)
 	}
-	tbl.min = tbl.index[0].key
-	tbl.max = tbl.index[len(tbl.index)-1].key
+	tbl.keys = append(make([]byte, 0, len(tbl.keys)), tbl.keys...)
+	tbl.seal()
 	return tbl, nil
 }
 

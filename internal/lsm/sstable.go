@@ -5,9 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
+	"math"
 
-	"costperf/internal/sim"
 	"costperf/internal/ssd"
 )
 
@@ -33,10 +32,14 @@ func newBloom(n int) *bloom {
 	return &bloom{bits: make([]uint64, words), k: 7}
 }
 
+// bloomHashes is the probe pair of key: 64-bit FNV-1a and a decorrelated
+// second hash. A lookup computes it once and probes every table with it.
 func bloomHashes(key []byte) (uint64, uint64) {
-	h := fnv.New64a()
-	h.Write(key)
-	h1 := h.Sum64()
+	h1 := uint64(14695981039346656037)
+	for _, c := range key {
+		h1 ^= uint64(c)
+		h1 *= 1099511628211
+	}
 	// Murmur-style finalizer decorrelates the second hash from the first.
 	h2 := h1
 	h2 ^= h2 >> 33
@@ -50,8 +53,7 @@ func bloomHashes(key []byte) (uint64, uint64) {
 	return h1, h2
 }
 
-func (b *bloom) add(key []byte) {
-	h1, h2 := bloomHashes(key)
+func (b *bloom) add(h1, h2 uint64) {
 	n := uint64(len(b.bits) * 64)
 	for i := 0; i < b.k; i++ {
 		bit := (h1 + uint64(i)*h2) % n
@@ -59,8 +61,7 @@ func (b *bloom) add(key []byte) {
 	}
 }
 
-func (b *bloom) mayContain(key []byte) bool {
-	h1, h2 := bloomHashes(key)
+func (b *bloom) mayContain(h1, h2 uint64) bool {
 	n := uint64(len(b.bits) * 64)
 	for i := 0; i < b.k; i++ {
 		bit := (h1 + uint64(i)*h2) % n
@@ -71,96 +72,157 @@ func (b *bloom) mayContain(key []byte) bool {
 	return true
 }
 
-// indexEntry locates one record inside a table's data region.
-type indexEntry struct {
-	key []byte
-	off int64 // absolute device offset of the encoded record
-	len int32
-}
-
 // sstable is an immutable sorted run. The index and bloom filter stay in
 // main memory (as RocksDB keeps them cached); record data lives on the
 // device and is read with one I/O per lookup.
+//
+// The index is flat: every key back to back in one arena, plus two uint32
+// offsets per record. That is 8 B + key per record, allocated at exact
+// size, with no pointers for the collector to trace.
 type sstable struct {
 	id       uint64
 	level    int
-	index    []indexEntry
+	keys     []byte   // key arena
+	keyEnd   []uint32 // key i is keys[keyEnd[i-1]:keyEnd[i]]
+	recEnd   []uint32 // record i spans [recEnd[i-1], recEnd[i]) from dataOff
 	filter   *bloom
-	min, max []byte
+	min, max []byte // slices of keys
 	dataOff  int64
 	dataLen  int64
-	entries  int
+}
+
+// newSSTable allocates a table's index for n records and keyBytes of keys.
+func newSSTable(id uint64, level, n, keyBytes int, dataOff int64) *sstable {
+	return &sstable{
+		id: id, level: level,
+		keys:    make([]byte, 0, keyBytes),
+		keyEnd:  make([]uint32, 0, n),
+		recEnd:  make([]uint32, 0, n),
+		filter:  newBloom(n),
+		dataOff: dataOff,
+	}
+}
+
+// addRecord indexes the next record: its key and where its framing ends.
+func (t *sstable) addRecord(key []byte, recEnd int) {
+	t.keys = append(t.keys, key...)
+	t.keyEnd = append(t.keyEnd, uint32(len(t.keys)))
+	t.recEnd = append(t.recEnd, uint32(recEnd))
+	t.filter.add(bloomHashes(key))
+}
+
+// seal fixes the key range and data length once every record is indexed.
+func (t *sstable) seal() {
+	t.min, t.max = t.key(0), t.key(t.entries()-1)
+	t.dataLen = int64(t.recEnd[t.entries()-1])
+}
+
+func (t *sstable) entries() int { return len(t.keyEnd) }
+
+func (t *sstable) key(i int) []byte {
+	lo := uint32(0)
+	if i > 0 {
+		lo = t.keyEnd[i-1]
+	}
+	return t.keys[lo:t.keyEnd[i]:t.keyEnd[i]]
+}
+
+// recStart is record i's offset from dataOff; recStart(entries()) is the
+// end of the data region.
+func (t *sstable) recStart(i int) int64 {
+	if i == 0 {
+		return 0
+	}
+	return int64(t.recEnd[i-1])
+}
+
+// search returns the first record with key >= key.
+func (t *sstable) search(key []byte) int {
+	lo, hi := 0, t.entries()
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if bytes.Compare(t.key(mid), key) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// overlaps reports whether the table's key range intersects [lo, hi].
+func (t *sstable) overlaps(lo, hi []byte) bool {
+	return bytes.Compare(t.min, hi) <= 0 && bytes.Compare(lo, t.max) <= 0
 }
 
 // recordCRCSize prefixes every record with a CRC32 of its body, so torn or
 // bit-flipped table data is detected instead of decoded as garbage.
 const recordCRCSize = 4
 
-// encodeRecord frames one KV for the device:
+// minRecordSize frames an empty key and value: crc, flags, two lengths.
+const minRecordSize = recordCRCSize + 3
+
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+func recordSize(e kv) int {
+	return recordCRCSize + 1 + uvarintLen(uint64(len(e.key))) + len(e.key) +
+		uvarintLen(uint64(len(e.val))) + len(e.val)
+}
+
+// appendRecord frames one KV for the device onto dst:
 // crc(4) | flags(1) | klen | key | vlen | val.
-func encodeRecord(e kv) []byte {
-	var buf bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(make([]byte, recordCRCSize)) // CRC placeholder
+func appendRecord(dst []byte, e kv) []byte {
+	start := len(dst)
 	flags := byte(0)
 	if e.tombstone {
 		flags = 1
 	}
-	buf.WriteByte(flags)
-	n := binary.PutUvarint(tmp[:], uint64(len(e.key)))
-	buf.Write(tmp[:n])
-	buf.Write(e.key)
-	n = binary.PutUvarint(tmp[:], uint64(len(e.val)))
-	buf.Write(tmp[:n])
-	buf.Write(e.val)
-	out := buf.Bytes()
-	binary.BigEndian.PutUint32(out, crc32.ChecksumIEEE(out[recordCRCSize:]))
-	return out
+	dst = append(dst, 0, 0, 0, 0, flags)
+	dst = binary.AppendUvarint(dst, uint64(len(e.key)))
+	dst = append(dst, e.key...)
+	dst = binary.AppendUvarint(dst, uint64(len(e.val)))
+	dst = append(dst, e.val...)
+	binary.BigEndian.PutUint32(dst[start:], crc32.ChecksumIEEE(dst[start+recordCRCSize:]))
+	return dst
 }
 
-// parseRecord decodes one record from the front of raw, returning the entry
-// and the framed bytes consumed. Checksum or structure failures wrap
-// ErrCorrupt — the caller (recovery, lookup) must treat the data as damaged
-// rather than silently truncating.
+// parseRecord decodes one record from the front of raw in place — key and
+// val alias raw — returning the entry and the framed bytes consumed. Only
+// what appendRecord can produce is accepted: checksum, structure, flag or
+// length-encoding failures wrap ErrCorrupt, and the caller (recovery,
+// lookup, scan) must treat the data as damaged rather than truncate.
 func parseRecord(raw []byte) (kv, int, error) {
-	if len(raw) < recordCRCSize+3 {
+	if len(raw) < minRecordSize {
 		return kv{}, 0, fmt.Errorf("%w: truncated record", ErrCorrupt)
 	}
-	crc := binary.BigEndian.Uint32(raw)
-	rest := raw[recordCRCSize:]
-	e := kv{tombstone: rest[0] == 1}
-	rest = rest[1:]
-	kl, n := binary.Uvarint(rest)
-	if n <= 0 || uint64(len(rest)) < uint64(n)+kl {
-		return kv{}, 0, fmt.Errorf("%w: truncated key", ErrCorrupt)
+	flags := raw[recordCRCSize]
+	if flags > 1 {
+		return kv{}, 0, fmt.Errorf("%w: unknown record flags %#x", ErrCorrupt, flags)
 	}
-	rest = rest[n:]
-	key := rest[:kl]
-	rest = rest[kl:]
-	vl, n := binary.Uvarint(rest)
-	if n <= 0 || uint64(len(rest)) < uint64(n)+vl {
-		return kv{}, 0, fmt.Errorf("%w: truncated value", ErrCorrupt)
+	pos := recordCRCSize + 1
+	var field [2][]byte
+	for f := range field {
+		n, w := binary.Uvarint(raw[pos:])
+		// A length is corrupt when it does not parse, is not in its
+		// shortest form, or runs past the data.
+		if w <= 0 || (w > 1 && raw[pos+w-1] == 0) || n > uint64(len(raw)-pos-w) {
+			return kv{}, 0, fmt.Errorf("%w: truncated record field", ErrCorrupt)
+		}
+		pos += w
+		end := pos + int(n)
+		field[f] = raw[pos:end:end]
+		pos = end
 	}
-	rest = rest[n:]
-	val := rest[:vl]
-	consumed := len(raw) - len(rest) + int(vl)
-	if crc32.ChecksumIEEE(raw[recordCRCSize:consumed]) != crc {
+	if crc32.ChecksumIEEE(raw[recordCRCSize:pos]) != binary.BigEndian.Uint32(raw) {
 		return kv{}, 0, fmt.Errorf("%w: record checksum mismatch", ErrCorrupt)
 	}
-	e.key = append([]byte(nil), key...)
-	e.val = append([]byte(nil), val...)
-	return e, consumed, nil
-}
-
-func decodeRecord(raw []byte) (kv, error) {
-	e, consumed, err := parseRecord(raw)
-	if err != nil {
-		return kv{}, err
-	}
-	if consumed != len(raw) {
-		return kv{}, fmt.Errorf("%w: record length mismatch", ErrCorrupt)
-	}
-	return e, nil
+	return kv{key: field[0], val: field[1], tombstone: flags == 1}, pos, nil
 }
 
 // writeTable writes a sorted run to the device in a single large write
@@ -169,98 +231,25 @@ func writeTable(dev ssd.Dev, id uint64, level int, entries []kv, off int64) (*ss
 	if len(entries) == 0 {
 		return nil, off, fmt.Errorf("lsm: empty table")
 	}
-	t := &sstable{
-		id: id, level: level,
-		filter:  newBloom(len(entries)),
-		min:     entries[0].key,
-		max:     entries[len(entries)-1].key,
-		dataOff: off,
-		entries: len(entries),
-	}
-	var data bytes.Buffer
+	var size, keyBytes int
 	for _, e := range entries {
-		rec := encodeRecord(e)
-		t.index = append(t.index, indexEntry{
-			key: e.key,
-			off: off + int64(data.Len()),
-			len: int32(len(rec)),
-		})
-		t.filter.add(e.key)
-		data.Write(rec)
+		size += recordSize(e)
+		keyBytes += len(e.key)
 	}
-	t.dataLen = int64(data.Len())
-	if err := dev.WriteAt(off, data.Bytes(), nil); err != nil {
+	if int64(size) > math.MaxUint32 {
+		return nil, off, fmt.Errorf("lsm: table of %d bytes exceeds the index's 4 GiB offsets", size)
+	}
+	t := newSSTable(id, level, len(entries), keyBytes, off)
+	data := make([]byte, 0, size)
+	for _, e := range entries {
+		data = appendRecord(data, e)
+		t.addRecord(e.key, len(data))
+	}
+	t.seal()
+	if err := dev.WriteAt(off, data, nil); err != nil {
 		return nil, off, err
 	}
 	return t, off + t.dataLen, nil
-}
-
-// get looks up key: bloom check, in-memory binary search, then one device
-// read for the record.
-func (t *sstable) get(dev ssd.Dev, key []byte, ch *sim.Charger) (kv, bool, error) {
-	if ch != nil {
-		ch.Hash()
-	}
-	if !t.filter.mayContain(key) {
-		return kv{}, false, nil
-	}
-	i := search(t.index, key)
-	if ch != nil {
-		ch.Compare(ilog2(len(t.index)))
-	}
-	if i >= len(t.index) || !bytes.Equal(t.index[i].key, key) {
-		return kv{}, false, nil
-	}
-	raw, err := dev.ReadAt(t.index[i].off, int(t.index[i].len), ch)
-	if err != nil {
-		return kv{}, false, err
-	}
-	e, err := decodeRecord(raw)
-	if err != nil {
-		// The transfer succeeded but the record failed verification: count
-		// a failed physical read, not a logical one.
-		dev.Stats().ReclassifyRead()
-		return kv{}, false, err
-	}
-	return e, true, nil
-}
-
-// readAll loads every record of the table (used by compaction and scans).
-func (t *sstable) readAll(dev ssd.Dev, ch *sim.Charger) ([]kv, error) {
-	raw, err := dev.ReadAt(t.dataOff, int(t.dataLen), ch)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]kv, 0, t.entries)
-	for i := range t.index {
-		rel := t.index[i].off - t.dataOff
-		e, err := decodeRecord(raw[rel : rel+int64(t.index[i].len)])
-		if err != nil {
-			// One failed record spoils the whole verified transfer.
-			dev.Stats().ReclassifyRead()
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
-// overlaps reports whether the table's key range intersects [lo, hi].
-func (t *sstable) overlaps(lo, hi []byte) bool {
-	return bytes.Compare(t.min, hi) <= 0 && bytes.Compare(lo, t.max) <= 0
-}
-
-func search(index []indexEntry, key []byte) int {
-	lo, hi := 0, len(index)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(index[mid].key, key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 func ilog2(n int) int {

@@ -17,6 +17,7 @@
 package ssd
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -476,10 +477,15 @@ func (d *Device) readLocked(off int64, out []byte) {
 	}
 }
 
+// zeroChunk is what an absent chunk reads as.
+var zeroChunk [chunkSize]byte
+
 // Trim releases the storage backing [off, off+length) back to the device
-// (log-structured GC uses this after reclaiming a segment). Partial chunks
-// at the boundaries are zeroed rather than freed. Trimming a closed device
-// returns ErrClosed without mutating the freed state.
+// (log-structured GC uses this after reclaiming a segment). A partial chunk
+// at a boundary is zeroed, and released too once nothing but zeros is left
+// in it — a chunk shared by two trimmed neighbours must not stay allocated
+// forever. Trimming a closed device returns ErrClosed without mutating the
+// freed state.
 func (d *Device) Trim(off int64, length int64) error {
 	if off < 0 || length < 0 {
 		return ErrOutOfRange
@@ -507,9 +513,12 @@ func (d *Device) Trim(off int64, length int64) error {
 		if ze > ce {
 			ze = ce
 		}
-		for i := zs - cs; i < ze-cs; i++ {
-			chunk[i] = 0
+		// An absent chunk reads as zeros, so an all-zero one can go.
+		if bytes.Equal(chunk[:zs-cs], zeroChunk[:zs-cs]) && bytes.Equal(chunk[ze-cs:], zeroChunk[ze-cs:]) {
+			delete(d.chunks, ci)
+			continue
 		}
+		clear(chunk[zs-cs : ze-cs])
 	}
 	return nil
 }

@@ -210,6 +210,40 @@ func TestTrimPartialChunkZeroes(t *testing.T) {
 	}
 }
 
+// TestTrimReleasesSharedBoundaryChunk: two extents meet inside a chunk;
+// once both are trimmed the chunk holds nothing and must be released, and
+// the range must still read as zeros.
+func TestTrimReleasesSharedBoundaryChunk(t *testing.T) {
+	d := New(SamsungSSD)
+	const a, b = chunkSize + chunkSize/2, chunkSize // extents [0, a) and [a, a+b)
+	if err := d.WriteAt(0, bytes.Repeat([]byte{0xaa}, a), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteAt(a, bytes.Repeat([]byte{0xbb}, b), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Trim(0, a); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.FootprintBytes(); got != 2*chunkSize {
+		t.Fatalf("footprint %d after the first trim, want the 2 chunks the second extent touches", got)
+	}
+	got, err := d.ReadAt(a, b, nil)
+	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0xbb}, b)) {
+		t.Fatalf("second extent damaged by its neighbour's trim (err %v)", err)
+	}
+	if err := d.Trim(a, b); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.FootprintBytes(); got != 0 {
+		t.Fatalf("footprint %d after both trims, want 0", got)
+	}
+	got, err = d.ReadAt(0, a+b, nil)
+	if err != nil || !bytes.Equal(got, make([]byte, a+b)) {
+		t.Fatalf("trimmed range does not read as zeros (err %v)", err)
+	}
+}
+
 func TestConcurrentIO(t *testing.T) {
 	d := New(SamsungSSD)
 	var wg sync.WaitGroup

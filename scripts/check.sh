@@ -76,6 +76,8 @@ fi
 go vet ./...
 go build ./...
 go test $SHORT ./...
+# One iteration of the LSM scan and compaction benchmarks, so they cannot rot.
+go test -run '^$' -bench 'Scan|Compaction' -benchtime 1x ./internal/lsm
 if [ -n "${CHECK_RACE:-}" ]; then
     go test -race -short ./...
 else
