@@ -1,77 +1,16 @@
 package shard
 
 import (
-	"context"
 	"fmt"
-	"sync"
-	"time"
 
-	"costperf/internal/engine"
 	"costperf/internal/fault"
-	"costperf/internal/metrics"
-	"costperf/internal/repl"
-	"costperf/internal/ssd"
 	"costperf/internal/tc"
 )
-
-// Phase is one step of the live-migration state machine. Phases run in
-// order; MigrateConfig.OnPhase fires at every completed boundary, which
-// is where the chaos sweep injects crashes.
-type Phase int
-
-const (
-	// PhasePrepare: the migration link is dialed (refused while the
-	// injector is partitioned — a fresh dial cannot dodge chaos), a
-	// standby is built over the target's log device and data component,
-	// and the repl shipper starts streaming the source's recovery log.
-	PhasePrepare Phase = iota
-	// PhaseCatchup: the target has applied the source's durable log up to
-	// a recent snapshot of its durable LSN, while writes keep landing.
-	PhaseCatchup
-	// PhaseFence: the source owner's commit gate flips — every commit on
-	// the old owner from here on is rejected with ErrMoved, forever.
-	PhaseFence
-	// PhaseDrain: in-flight operations on the old owner have finished,
-	// its log is flushed, and the shipper has drained the tail — the
-	// target's applied log now byte-for-byte equals the source's.
-	PhaseDrain
-	// PhaseSeal: the standby is sealed at a higher epoch (late frames
-	// from the old stream are fenced) and the target TC is built over the
-	// shipped log, continuing the LSN sequence and commit clock in place.
-	PhaseSeal
-	// PhaseInstall: the router now routes the shard to the new owner and
-	// wakes every request parked on the cutover. The migration is done.
-	PhaseInstall
-)
-
-// String names the phase for logs and sweep labels.
-func (p Phase) String() string {
-	switch p {
-	case PhasePrepare:
-		return "prepare"
-	case PhaseCatchup:
-		return "catchup"
-	case PhaseFence:
-		return "fence"
-	case PhaseDrain:
-		return "drain"
-	case PhaseSeal:
-		return "seal"
-	case PhaseInstall:
-		return "install"
-	}
-	return fmt.Sprintf("phase(%d)", int(p))
-}
 
 // MigrateConfig parameterizes one live migration.
 type MigrateConfig struct {
 	// Shard is the partition to move (required).
 	Shard int
-	// TargetDC / TargetLog are the new owner's data component and
-	// recovery-log device; nil defaults to the router's factories. They
-	// must be reused across Run retries of the same migration.
-	TargetDC  tc.DataComponent
-	TargetLog ssd.Dev
 	// Net injects faults into the migration link (nil = perfect link).
 	// Dials are refused while it is partitioned (fault.ErrPartitioned).
 	Net *fault.NetInjector
@@ -79,320 +18,31 @@ type MigrateConfig struct {
 	// non-nil return aborts the migration at that boundary — the chaos
 	// harness's simulated crash. Run may be called again to resume.
 	OnPhase func(Phase) error
-	// CatchupWait bounds each catch-up round (default 5s); DrainWait
-	// bounds the in-flight drain and the final tail ship (default 2s).
-	CatchupWait time.Duration
-	DrainWait   time.Duration
-	// Seed seeds the ship backoff jitter (default router seed).
-	Seed int64
 }
 
-// Migration is one live shard move. Run drives it to completion; if a
-// run aborts (injected crash, partitioned link), Run resumes it: the
-// stream is rebuilt from scratch and re-applied blindly — the same
-// idempotent redo application recovery uses — so every pre-install
-// boundary is safe to die at. After the fence the shard's writes park on
-// the cutover until the migration finishes.
-type Migration struct {
-	r   *Router
-	cfg MigrateConfig
-	src *owner
-
-	mu       sync.Mutex
-	phase    Phase
-	done     bool
-	lastErr  error
-	attempts int
-
-	link   *repl.Link
-	ship   *repl.Shipper
-	stby   *repl.Standby
-	stats  metrics.ReplStats
-	newOwn *owner
-}
+// Migration is one live shard move: the cutover with one target, the same
+// slot at the next owner generation, and nothing of its own to do at the
+// seal. After the fence the shard's writes park on the cutover until it
+// installs.
+type Migration struct{ *cutover }
 
 // Migrate starts a live migration of one shard to a fresh owner and
 // returns the handle; call Run to drive it. One migration per shard at a
 // time; replicated shards are refused (their mobility is failover).
 func (r *Router) Migrate(cfg MigrateConfig) (*Migration, error) {
-	t := r.tab.Load()
-	src := t.owners[cfg.Shard]
-	if src == nil {
-		return nil, fmt.Errorf("shard %d: %w", cfg.Shard, ErrNoShard)
+	src, err := r.tab.Load().source(cfg.Shard)
+	if err != nil {
+		return nil, err
 	}
-	if src.cluster != nil {
-		return nil, fmt.Errorf("shard %d: %w", cfg.Shard, ErrReplicatedShard)
+	c, _, err := r.newCutover(fmt.Sprintf("shard %d migration", cfg.Shard), cfg.Net, cfg.OnPhase, 0, src)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.CatchupWait <= 0 {
-		cfg.CatchupWait = 5 * time.Second
-	}
-	if cfg.DrainWait <= 0 {
-		cfg.DrainWait = 2 * time.Second
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = r.cfg.Seed + int64(cfg.Shard)*7919
-	}
-	if cfg.TargetDC == nil {
-		cfg.TargetDC = r.cfg.NewDC(cfg.Shard)
-	}
-	if cfg.TargetLog == nil {
-		cfg.TargetLog = r.cfg.NewLog(fmt.Sprintf("shard%d-log.%d", cfg.Shard, src.gen+1))
-		if tr := r.tracer(cfg.Shard); tr != nil {
-			cfg.TargetLog.SetObserver(tr)
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, ErrClosed
-	}
-	if r.resizing[cfg.Shard] {
-		return nil, fmt.Errorf("shard %d: %w", cfg.Shard, ErrMigrating)
-	}
-	r.resizing[cfg.Shard] = true
-	return &Migration{r: r, cfg: cfg, src: src}, nil
+	c.targets = []*target{r.newTarget(cfg.Shard, src.gen+1)}
+	c.install = func(tgs []*target) { r.installOwner(cfg.Shard, tgs[0].own) }
+	return &Migration{c}, nil
 }
-
-// Phase reports the next phase to run (PhaseInstall and Done()==true
-// once complete); Attempts counts Run calls; Err the last abort.
-func (m *Migration) Phase() Phase {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.phase
-}
-
-// Done reports whether the cutover installed.
-func (m *Migration) Done() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.done
-}
-
-// Err returns the error that aborted the last Run (nil after success).
-func (m *Migration) Err() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastErr
-}
-
-// Stats exposes the migration stream's replication counters.
-func (m *Migration) Stats() *metrics.ReplStats { return &m.stats }
 
 // SourceTC exposes the old owner's transaction component so audits can
 // prove the fence holds (a direct commit on it must fail with ErrMoved).
 func (m *Migration) SourceTC() *tc.TC { return m.src.tc }
-
-// Run drives the migration to completion, resuming after a prior abort.
-// Every restart rebuilds the stream from the beginning of the source log;
-// the standby's blind redo application makes the replay idempotent, and
-// an already-set fence stays set, so resuming is safe at every boundary.
-func (m *Migration) Run(ctx context.Context) (err error) {
-	m.mu.Lock()
-	if m.done {
-		m.mu.Unlock()
-		return nil
-	}
-	m.attempts++
-	// Resume point: a sealed target only needs installing; anything
-	// earlier re-streams from scratch.
-	if m.newOwn != nil {
-		m.phase = PhaseInstall
-	} else {
-		m.phase = PhasePrepare
-	}
-	m.lastErr = nil
-	m.mu.Unlock()
-
-	defer func() {
-		if err != nil {
-			m.suspend()
-			m.mu.Lock()
-			m.lastErr = err
-			m.mu.Unlock()
-		}
-	}()
-
-	for {
-		m.mu.Lock()
-		ph := m.phase
-		done := m.done
-		m.mu.Unlock()
-		if done {
-			return nil
-		}
-		if err := m.step(ctx, ph); err != nil {
-			return fmt.Errorf("shard %d migration, %v: %w", m.cfg.Shard, ph, err)
-		}
-		m.mu.Lock()
-		if ph == PhaseInstall {
-			m.done = true
-		} else {
-			m.phase = ph + 1
-		}
-		m.mu.Unlock()
-		if m.cfg.OnPhase != nil {
-			if herr := m.cfg.OnPhase(ph); herr != nil && ph != PhaseInstall {
-				return fmt.Errorf("shard %d migration aborted after %v: %w", m.cfg.Shard, ph, herr)
-			}
-		}
-		if ph == PhaseInstall {
-			return nil
-		}
-	}
-}
-
-// suspend tears the stream down after an abort (the simulated crash
-// kills the shipper and standby); Run rebuilds it.
-func (m *Migration) suspend() {
-	if m.ship != nil {
-		m.ship.Stop()
-		m.ship = nil
-	}
-	if m.stby != nil {
-		m.stby.Stop()
-		m.stby = nil
-	}
-	m.link = nil
-}
-
-func (m *Migration) step(ctx context.Context, ph Phase) error {
-	switch ph {
-	case PhasePrepare:
-		return m.prepare()
-	case PhaseCatchup:
-		return m.catchup(ctx)
-	case PhaseFence:
-		m.src.fenced.Store(true)
-		m.r.stats.Fences.Inc()
-		return nil
-	case PhaseDrain:
-		return m.drain(ctx)
-	case PhaseSeal:
-		return m.seal()
-	case PhaseInstall:
-		m.r.installOwner(m.cfg.Shard, m.newOwn)
-		return nil
-	}
-	return fmt.Errorf("unknown phase %v", ph)
-}
-
-// prepare dials the migration link and starts streaming the source log
-// into the target. Establishing the link consults the injector's dial
-// gate: a partition refuses fresh dials, so migration chaos cannot be
-// dodged by redialing (see fault.NetInjector.DialErr).
-func (m *Migration) prepare() error {
-	if m.cfg.Net != nil {
-		if err := m.cfg.Net.DialErr(); err != nil {
-			return err
-		}
-	}
-	m.link = repl.NewLink(m.cfg.Net)
-	m.stby = repl.NewStandby(repl.StandbyConfig{
-		Link: m.link, LogDevice: m.cfg.TargetLog, DC: m.cfg.TargetDC,
-		Epoch: 1, Stats: &m.stats,
-	})
-	m.ship = repl.NewShipper(repl.ShipperConfig{
-		TC: m.src.tc, Link: m.link, Epoch: 1, Stats: &m.stats,
-		Window: 8, AckTimeout: 5 * time.Millisecond,
-		RetryBase: 200 * time.Microsecond, RetryMax: 5 * time.Millisecond,
-		Poll: 50 * time.Microsecond, Seed: m.cfg.Seed,
-	})
-	m.stby.Start()
-	m.ship.Start()
-	return nil
-}
-
-// catchup waits until the target has applied everything durable on the
-// source as of now; later writes are the drain's problem.
-func (m *Migration) catchup(ctx context.Context) error {
-	if err := m.src.tc.Flush(); err != nil {
-		return err
-	}
-	target := m.src.tc.DurableLSN()
-	deadline := time.Now().Add(m.cfg.CatchupWait)
-	for m.stby.AppliedLSN() < target {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("applied %d < durable %d after %v: %w",
-				m.stby.AppliedLSN(), target, m.cfg.CatchupWait, ErrCatchup)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	return nil
-}
-
-// drain finishes the fenced owner: waits for its in-flight operations to
-// retire, flushes its log, and ships the tail until the target's applied
-// LSN equals the source's durable LSN exactly.
-func (m *Migration) drain(ctx context.Context) error {
-	deadline := time.Now().Add(m.cfg.DrainWait)
-	for m.src.inflight.Load() > 0 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%d operations still in flight on the fenced owner after %v: %w",
-				m.src.inflight.Load(), m.cfg.DrainWait, ErrCatchup)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	if err := m.src.tc.Flush(); err != nil {
-		return err
-	}
-	if err := m.ship.Drain(m.cfg.DrainWait); err != nil {
-		return err
-	}
-	final := m.src.tc.DurableLSN()
-	for m.stby.AppliedLSN() < final {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("target applied %d < source durable %d: %w",
-				m.stby.AppliedLSN(), final, ErrCatchup)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	return nil
-}
-
-// seal stops the stream, seals the standby at a higher epoch (late
-// frames from this stream are fenced, exactly like a demoted primary's),
-// and builds the new owner's TC over the shipped log — continuing the
-// source's LSN sequence and commit clock in place, the same continuation
-// a promoted warm standby performs.
-func (m *Migration) seal() error {
-	m.ship.Stop()
-	m.stby.Stop()
-	applied, maxTS := m.stby.Seal(2)
-	if durable := m.src.tc.DurableLSN(); applied != durable {
-		return fmt.Errorf("sealed at applied %d but source durable is %d: %w",
-			applied, durable, ErrCatchup)
-	}
-	o := &owner{shard: m.cfg.Shard, gen: m.src.gen + 1}
-	t, err := tc.New(tc.Config{
-		DC: m.cfg.TargetDC, LogDevice: m.cfg.TargetLog,
-		LogBufferBytes: m.r.cfg.LogBufferBytes,
-		CommitGate:     o.gate,
-		LogStartLSN:    applied,
-		InitialClock:   maxTS,
-		Obs:            m.r.tracer(m.cfg.Shard),
-	})
-	if err != nil {
-		return err
-	}
-	eng, err := engine.New(engine.Config{
-		Store:           engine.WrapTC(t),
-		MaxConcurrent:   m.r.cfg.MaxConcurrent,
-		MaxQueue:        m.r.cfg.MaxQueue,
-		DefaultTimeout:  m.r.cfg.DefaultTimeout,
-		ProbeJitterSeed: m.cfg.Seed,
-	})
-	if err != nil {
-		return err
-	}
-	o.tc = t
-	o.log = m.cfg.TargetLog
-	o.eng = eng
-	m.newOwn = o
-	return nil
-}

@@ -1,10 +1,8 @@
 package shard
 
 // Elastic resize: Split and Merge change the shard count while traffic
-// continues, reusing the live-migration six-phase fence-and-stream
-// cutover (migrate.go) with the same robustness contract — every phase
-// boundary is crash-resumable by idempotent blind redo, fenced source
-// owners reject commits forever, and zero acked writes are lost.
+// continues. Both are the one cutover (cutover.go) with their own targets,
+// fenced owners, seal step and install.
 //
 // A split streams the source's recovery log into TWO fresh owners (each
 // a full standby applying the whole log), fences and drains the source,
@@ -23,102 +21,11 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"costperf/internal/engine"
 	"costperf/internal/fault"
-	"costperf/internal/metrics"
-	"costperf/internal/repl"
-	"costperf/internal/ssd"
 	"costperf/internal/tc"
 )
-
-// resizeCore is the shared resumable-run skeleton of Split and Merge:
-// the same phase ledger and abort/resume discipline Migration uses.
-type resizeCore struct {
-	mu       sync.Mutex
-	phase    Phase
-	done     bool
-	lastErr  error
-	attempts int
-}
-
-// Phase reports the next phase to run; Done whether the cutover
-// installed; Err the error that aborted the last Run.
-func (c *resizeCore) Phase() Phase {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.phase
-}
-
-func (c *resizeCore) Done() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.done
-}
-
-func (c *resizeCore) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastErr
-}
-
-// run drives the phase loop: resume() picks the restart point (install
-// when the sealed owners survive, prepare otherwise — everything earlier
-// re-streams from scratch and re-applies blindly), step() runs one phase,
-// suspend() tears the stream down after an abort, and onPhase is the
-// chaos harness's crash hook at each completed boundary.
-func (c *resizeCore) run(ctx context.Context, label string,
-	resume func() Phase, step func(context.Context, Phase) error,
-	suspend func(), onPhase func(Phase) error) (err error) {
-	c.mu.Lock()
-	if c.done {
-		c.mu.Unlock()
-		return nil
-	}
-	c.attempts++
-	c.phase = resume()
-	c.lastErr = nil
-	c.mu.Unlock()
-
-	defer func() {
-		if err != nil {
-			suspend()
-			c.mu.Lock()
-			c.lastErr = err
-			c.mu.Unlock()
-		}
-	}()
-
-	for {
-		c.mu.Lock()
-		ph := c.phase
-		done := c.done
-		c.mu.Unlock()
-		if done {
-			return nil
-		}
-		if err := step(ctx, ph); err != nil {
-			return fmt.Errorf("%s, %v: %w", label, ph, err)
-		}
-		c.mu.Lock()
-		if ph == PhaseInstall {
-			c.done = true
-		} else {
-			c.phase = ph + 1
-		}
-		c.mu.Unlock()
-		if onPhase != nil {
-			if herr := onPhase(ph); herr != nil && ph != PhaseInstall {
-				return fmt.Errorf("%s aborted after %v: %w", label, ph, herr)
-			}
-		}
-		if ph == PhaseInstall {
-			return nil
-		}
-	}
-}
 
 // SplitConfig parameterizes one shard split.
 type SplitConfig struct {
@@ -131,30 +38,13 @@ type SplitConfig struct {
 	Net *fault.NetInjector
 	// OnPhase is the per-boundary crash hook (see MigrateConfig.OnPhase).
 	OnPhase func(Phase) error
-	// CatchupWait / DrainWait bound the stream phases (defaults 5s / 2s).
-	CatchupWait time.Duration
-	DrainWait   time.Duration
-	// Seed seeds the ship backoff jitter.
-	Seed int64
 }
 
 // Split is one in-flight shard split. Run drives it; it resumes from any
 // aborted boundary.
 type Split struct {
-	resizeCore
-	r   *Router
-	cfg SplitConfig
-	src *owner
-
-	lo, hi, at        uint64
-	lowSlot, highSlot int
-	lowDC, highDC     tc.DataComponent
-	lowLog, highLog   ssd.Dev
-	links             [2]*repl.Link
-	ships             [2]*repl.Shipper
-	stbys             [2]*repl.Standby
-	stats             metrics.ReplStats
-	newLow, newHigh   *owner
+	*cutover
+	at uint64
 }
 
 // Split starts splitting one shard's hash range across two freshly
@@ -163,12 +53,9 @@ type Split struct {
 // installs.
 func (r *Router) Split(cfg SplitConfig) (*Split, error) {
 	t := r.tab.Load()
-	src := t.owners[cfg.Shard]
-	if src == nil {
-		return nil, fmt.Errorf("shard %d: %w", cfg.Shard, ErrNoShard)
-	}
-	if src.cluster != nil {
-		return nil, fmt.Errorf("shard %d: %w", cfg.Shard, ErrReplicatedShard)
+	src, err := t.source(cfg.Shard)
+	if err != nil {
+		return nil, err
 	}
 	lo, hi := t.m.Range(t.m.indexOfSlot(cfg.Shard))
 	at := cfg.At
@@ -179,54 +66,30 @@ func (r *Router) Split(cfg SplitConfig) (*Split, error) {
 		return nil, fmt.Errorf("split point %#x outside shard %d range [%#x, %#x): %w",
 			at, cfg.Shard, lo, hi, ErrBadMap)
 	}
-	if cfg.CatchupWait <= 0 {
-		cfg.CatchupWait = 5 * time.Second
+	c, slots, err := r.newCutover(fmt.Sprintf("shard %d split", cfg.Shard), cfg.Net, cfg.OnPhase, 2, src)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.DrainWait <= 0 {
-		cfg.DrainWait = 2 * time.Second
+	c.targets = []*target{r.newTarget(slots[0], 1), r.newTarget(slots[1], 1)}
+	// The prune is a direct (unlogged) data-component operation: if the
+	// split dies before install, the resume re-streams the whole source
+	// log, whose blind redo restores every pruned key before the prune
+	// runs again.
+	c.finish = func(_ context.Context, tgs []*target) error {
+		for i, keep := range [2][2]uint64{{lo, at}, {at, hi}} {
+			if err := pruneDC(tgs[i].dc, keep[0], keep[1]); err != nil {
+				return fmt.Errorf("prune shard %d: %w", tgs[i].slot, err)
+			}
+		}
+		return nil
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = r.cfg.Seed + int64(cfg.Shard)*104729
-	}
-
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if r.resizing[cfg.Shard] {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("shard %d: %w", cfg.Shard, ErrMigrating)
-	}
-	if len(r.tab.Load().m.Entries)+1 > MaxMapEntries {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("split would exceed %d map entries: %w", MaxMapEntries, ErrBadMap)
-	}
-	r.resizing[cfg.Shard] = true
-	lowSlot, highSlot := r.nextSlot, r.nextSlot+1
-	r.nextSlot += 2
-	r.mu.Unlock()
-
-	s := &Split{
-		r: r, cfg: cfg, src: src,
-		lo: lo, hi: hi, at: at,
-		lowSlot: lowSlot, highSlot: highSlot,
-		lowDC: r.cfg.NewDC(lowSlot), highDC: r.cfg.NewDC(highSlot),
-		lowLog:  r.cfg.NewLog(fmt.Sprintf("shard%d-log.1", lowSlot)),
-		highLog: r.cfg.NewLog(fmt.Sprintf("shard%d-log.1", highSlot)),
-	}
-	if tr := r.tracer(lowSlot); tr != nil {
-		s.lowLog.SetObserver(tr)
-	}
-	if tr := r.tracer(highSlot); tr != nil {
-		s.highLog.SetObserver(tr)
-	}
-	return s, nil
+	c.install = func(tgs []*target) { r.installSplit(cfg.Shard, at, tgs[0].own, tgs[1].own) }
+	return &Split{cutover: c, at: at}, nil
 }
 
 // Slots returns the two slot numbers the split mints (stable across
 // resumes; live once the split installs).
-func (s *Split) Slots() (low, high int) { return s.lowSlot, s.highSlot }
+func (s *Split) Slots() (low, high int) { return s.targets[0].slot, s.targets[1].slot }
 
 // At returns the hash split point.
 func (s *Split) At() uint64 { return s.at }
@@ -234,209 +97,6 @@ func (s *Split) At() uint64 { return s.at }
 // SourceTC exposes the retired owner's TC so audits can prove the fence
 // holds.
 func (s *Split) SourceTC() *tc.TC { return s.src.tc }
-
-// Stats exposes the split streams' replication counters (both children
-// share them).
-func (s *Split) Stats() *metrics.ReplStats { return &s.stats }
-
-// Run drives the split to completion, resuming after a prior abort.
-func (s *Split) Run(ctx context.Context) error {
-	return s.run(ctx, fmt.Sprintf("shard %d split", s.cfg.Shard),
-		func() Phase {
-			if s.newLow != nil && s.newHigh != nil {
-				return PhaseInstall
-			}
-			return PhasePrepare
-		},
-		s.step, s.suspend, s.cfg.OnPhase)
-}
-
-func (s *Split) suspend() {
-	for i := range s.ships {
-		if s.ships[i] != nil {
-			s.ships[i].Stop()
-			s.ships[i] = nil
-		}
-		if s.stbys[i] != nil {
-			s.stbys[i].Stop()
-			s.stbys[i] = nil
-		}
-		s.links[i] = nil
-	}
-}
-
-func (s *Split) step(ctx context.Context, ph Phase) error {
-	switch ph {
-	case PhasePrepare:
-		return s.prepare()
-	case PhaseCatchup:
-		return s.catchup(ctx)
-	case PhaseFence:
-		s.src.fenced.Store(true)
-		s.r.stats.Fences.Inc()
-		return nil
-	case PhaseDrain:
-		return s.drain(ctx)
-	case PhaseSeal:
-		return s.seal()
-	case PhaseInstall:
-		s.r.installSplit(s.cfg.Shard, s.at, s.newLow, s.newHigh)
-		return nil
-	}
-	return fmt.Errorf("unknown phase %v", ph)
-}
-
-// prepare dials the resize links (refused while partitioned) and starts
-// both children streaming the FULL source log — each child is a complete
-// standby of the source until the seal prunes it to its half-range.
-func (s *Split) prepare() error {
-	if s.cfg.Net != nil {
-		if err := s.cfg.Net.DialErr(); err != nil {
-			return err
-		}
-	}
-	dcs := [2]tc.DataComponent{s.lowDC, s.highDC}
-	logs := [2]ssd.Dev{s.lowLog, s.highLog}
-	for i := 0; i < 2; i++ {
-		s.links[i] = repl.NewLink(s.cfg.Net)
-		s.stbys[i] = repl.NewStandby(repl.StandbyConfig{
-			Link: s.links[i], LogDevice: logs[i], DC: dcs[i],
-			Epoch: 1, Stats: &s.stats,
-		})
-		s.ships[i] = repl.NewShipper(repl.ShipperConfig{
-			TC: s.src.tc, Link: s.links[i], Epoch: 1, Stats: &s.stats,
-			Window: 8, AckTimeout: 5 * time.Millisecond,
-			RetryBase: 200 * time.Microsecond, RetryMax: 5 * time.Millisecond,
-			Poll: 50 * time.Microsecond, Seed: s.cfg.Seed + int64(i),
-		})
-		s.stbys[i].Start()
-		s.ships[i].Start()
-	}
-	return nil
-}
-
-func (s *Split) catchup(ctx context.Context) error {
-	if err := s.src.tc.Flush(); err != nil {
-		return err
-	}
-	target := s.src.tc.DurableLSN()
-	deadline := time.Now().Add(s.cfg.CatchupWait)
-	for s.stbys[0].AppliedLSN() < target || s.stbys[1].AppliedLSN() < target {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("applied %d/%d < durable %d after %v: %w",
-				s.stbys[0].AppliedLSN(), s.stbys[1].AppliedLSN(), target,
-				s.cfg.CatchupWait, ErrCatchup)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	return nil
-}
-
-func (s *Split) drain(ctx context.Context) error {
-	deadline := time.Now().Add(s.cfg.DrainWait)
-	for s.src.inflight.Load() > 0 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%d operations still in flight on the fenced owner after %v: %w",
-				s.src.inflight.Load(), s.cfg.DrainWait, ErrCatchup)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	if err := s.src.tc.Flush(); err != nil {
-		return err
-	}
-	for i := 0; i < 2; i++ {
-		if err := s.ships[i].Drain(s.cfg.DrainWait); err != nil {
-			return err
-		}
-	}
-	final := s.src.tc.DurableLSN()
-	for s.stbys[0].AppliedLSN() < final || s.stbys[1].AppliedLSN() < final {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("targets applied %d/%d < source durable %d: %w",
-				s.stbys[0].AppliedLSN(), s.stbys[1].AppliedLSN(), final, ErrCatchup)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	return nil
-}
-
-// seal stops both streams, seals both standbys at a higher epoch, prunes
-// each child's data component to its half of the hash range, and builds
-// the two new owners' TCs — each continuing the source's LSN sequence
-// and commit clock in place. The prune is a direct (unlogged) data-
-// component operation: if the split dies before install, the resume
-// re-streams the whole source log, whose blind redo restores every
-// pruned key before the prune runs again.
-func (s *Split) seal() error {
-	for i := 0; i < 2; i++ {
-		s.ships[i].Stop()
-		s.stbys[i].Stop()
-	}
-	durable := s.src.tc.DurableLSN()
-	applied0, ts0 := s.stbys[0].Seal(2)
-	applied1, ts1 := s.stbys[1].Seal(2)
-	if applied0 != durable || applied1 != durable {
-		return fmt.Errorf("sealed at applied %d/%d but source durable is %d: %w",
-			applied0, applied1, durable, ErrCatchup)
-	}
-	if err := pruneDC(s.lowDC, s.lo, s.at); err != nil {
-		return fmt.Errorf("prune low child: %w", err)
-	}
-	if err := pruneDC(s.highDC, s.at, s.hi); err != nil {
-		return fmt.Errorf("prune high child: %w", err)
-	}
-	low, err := s.r.sealedOwner(s.lowSlot, s.lowDC, s.lowLog, applied0, ts0, s.cfg.Seed)
-	if err != nil {
-		return err
-	}
-	high, err := s.r.sealedOwner(s.highSlot, s.highDC, s.highLog, applied1, ts1, s.cfg.Seed+1)
-	if err != nil {
-		low.eng.Close()
-		return err
-	}
-	s.newLow, s.newHigh = low, high
-	return nil
-}
-
-// sealedOwner builds a fresh gen-1 owner over a sealed, shipped log:
-// the TC continues the source's LSN sequence and commit clock in place,
-// exactly like a promoted warm standby.
-func (r *Router) sealedOwner(slot int, dc tc.DataComponent, log ssd.Dev,
-	startLSN int64, clock uint64, seed int64) (*owner, error) {
-	o := &owner{shard: slot, gen: 1}
-	t, err := tc.New(tc.Config{
-		DC: dc, LogDevice: log,
-		LogBufferBytes: r.cfg.LogBufferBytes,
-		CommitGate:     o.gate,
-		LogStartLSN:    startLSN,
-		InitialClock:   clock,
-		Obs:            r.tracer(slot),
-	})
-	if err != nil {
-		return nil, err
-	}
-	eng, err := engine.New(engine.Config{
-		Store:           engine.WrapTC(t),
-		MaxConcurrent:   r.cfg.MaxConcurrent,
-		MaxQueue:        r.cfg.MaxQueue,
-		DefaultTimeout:  r.cfg.DefaultTimeout,
-		ProbeJitterSeed: seed,
-	})
-	if err != nil {
-		t.Close()
-		return nil, err
-	}
-	o.tc = t
-	o.log = log
-	o.eng = eng
-	return o, nil
-}
 
 // pruneDC deletes every key outside [lo, hi) from the data component.
 // The DC must expose an ordered scan (tc.Scanner) — the same capability
@@ -472,30 +132,11 @@ type MergeConfig struct {
 	Net *fault.NetInjector
 	// OnPhase is the per-boundary crash hook.
 	OnPhase func(Phase) error
-	// CatchupWait / DrainWait bound the stream phases (defaults 5s / 2s).
-	CatchupWait time.Duration
-	DrainWait   time.Duration
-	// Seed seeds the ship backoff jitter.
-	Seed int64
 }
 
 // Merge is one in-flight shard merge. Run drives it; it resumes from any
 // aborted boundary.
-type Merge struct {
-	resizeCore
-	r           *Router
-	cfg         MergeConfig
-	left, right *owner
-
-	mergedSlot int
-	dc         tc.DataComponent
-	log        ssd.Dev
-	link       *repl.Link
-	ship       *repl.Shipper
-	stby       *repl.Standby
-	stats      metrics.ReplStats
-	newOwn     *owner
-}
+type Merge struct{ *cutover }
 
 // Merge starts merging two hash-adjacent shards into one freshly minted
 // slot and returns the handle; call Run to drive it. Both source slots
@@ -503,224 +144,47 @@ type Merge struct {
 // installs.
 func (r *Router) Merge(cfg MergeConfig) (*Merge, error) {
 	t := r.tab.Load()
-	li, ri := t.m.indexOfSlot(cfg.Left), t.m.indexOfSlot(cfg.Right)
-	if li < 0 {
-		return nil, fmt.Errorf("shard %d: %w", cfg.Left, ErrNoShard)
+	left, err := t.source(cfg.Left)
+	if err != nil {
+		return nil, err
 	}
-	if ri < 0 {
-		return nil, fmt.Errorf("shard %d: %w", cfg.Right, ErrNoShard)
+	right, err := t.source(cfg.Right)
+	if err != nil {
+		return nil, err
 	}
-	if ri != li+1 {
+	if t.m.indexOfSlot(cfg.Right) != t.m.indexOfSlot(cfg.Left)+1 {
 		return nil, fmt.Errorf("shards %d and %d: %w", cfg.Left, cfg.Right, ErrNotAdjacent)
 	}
-	left, right := t.owners[cfg.Left], t.owners[cfg.Right]
-	if left.cluster != nil || right.cluster != nil {
-		return nil, fmt.Errorf("shards %d+%d: %w", cfg.Left, cfg.Right, ErrReplicatedShard)
+	c, slots, err := r.newCutover(fmt.Sprintf("shard %d+%d merge", cfg.Left, cfg.Right),
+		cfg.Net, cfg.OnPhase, 1, left, right)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.CatchupWait <= 0 {
-		cfg.CatchupWait = 5 * time.Second
+	c.targets = []*target{r.newTarget(slots[0], 1)}
+	c.finish = func(ctx context.Context, tgs []*target) error {
+		if err := fold(ctx, right.eng, tgs[0].own.tc); err != nil {
+			return fmt.Errorf("fold right shard state: %w", err)
+		}
+		return nil
 	}
-	if cfg.DrainWait <= 0 {
-		cfg.DrainWait = 2 * time.Second
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = r.cfg.Seed + int64(cfg.Left)*104729 + int64(cfg.Right)
-	}
-
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if r.resizing[cfg.Left] || r.resizing[cfg.Right] {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("shards %d+%d: %w", cfg.Left, cfg.Right, ErrMigrating)
-	}
-	r.resizing[cfg.Left] = true
-	r.resizing[cfg.Right] = true
-	mergedSlot := r.nextSlot
-	r.nextSlot++
-	r.mu.Unlock()
-
-	m := &Merge{
-		r: r, cfg: cfg, left: left, right: right,
-		mergedSlot: mergedSlot,
-		dc:         r.cfg.NewDC(mergedSlot),
-		log:        r.cfg.NewLog(fmt.Sprintf("shard%d-log.1", mergedSlot)),
-	}
-	if tr := r.tracer(mergedSlot); tr != nil {
-		m.log.SetObserver(tr)
-	}
-	return m, nil
+	c.install = func(tgs []*target) { r.installMerge(cfg.Left, cfg.Right, tgs[0].own) }
+	return &Merge{c}, nil
 }
 
 // Slot returns the merged slot number (stable across resumes; live once
 // the merge installs).
-func (m *Merge) Slot() int { return m.mergedSlot }
+func (m *Merge) Slot() int { return m.targets[0].slot }
 
 // SourceTCs exposes both retired owners' TCs for fence audits.
-func (m *Merge) SourceTCs() (left, right *tc.TC) { return m.left.tc, m.right.tc }
+func (m *Merge) SourceTCs() (left, right *tc.TC) { return m.fence[0].tc, m.fence[1].tc }
 
-// Stats exposes the merge stream's replication counters.
-func (m *Merge) Stats() *metrics.ReplStats { return &m.stats }
-
-// Run drives the merge to completion, resuming after a prior abort.
-func (m *Merge) Run(ctx context.Context) error {
-	return m.run(ctx, fmt.Sprintf("shard %d+%d merge", m.cfg.Left, m.cfg.Right),
-		func() Phase {
-			if m.newOwn != nil {
-				return PhaseInstall
-			}
-			return PhasePrepare
-		},
-		m.step, m.suspend, m.cfg.OnPhase)
-}
-
-func (m *Merge) suspend() {
-	if m.ship != nil {
-		m.ship.Stop()
-		m.ship = nil
-	}
-	if m.stby != nil {
-		m.stby.Stop()
-		m.stby = nil
-	}
-	m.link = nil
-}
-
-func (m *Merge) step(ctx context.Context, ph Phase) error {
-	switch ph {
-	case PhasePrepare:
-		return m.prepare()
-	case PhaseCatchup:
-		return m.catchup(ctx)
-	case PhaseFence:
-		m.left.fenced.Store(true)
-		m.r.stats.Fences.Inc()
-		m.right.fenced.Store(true)
-		m.r.stats.Fences.Inc()
-		return nil
-	case PhaseDrain:
-		return m.drain(ctx)
-	case PhaseSeal:
-		return m.seal(ctx)
-	case PhaseInstall:
-		m.r.installMerge(m.cfg.Left, m.cfg.Right, m.newOwn)
-		return nil
-	}
-	return fmt.Errorf("unknown phase %v", ph)
-}
-
-// prepare dials the merge link and streams the LEFT source's log into
-// the merged owner; the right source's state is folded in at the seal.
-func (m *Merge) prepare() error {
-	if m.cfg.Net != nil {
-		if err := m.cfg.Net.DialErr(); err != nil {
-			return err
-		}
-	}
-	m.link = repl.NewLink(m.cfg.Net)
-	m.stby = repl.NewStandby(repl.StandbyConfig{
-		Link: m.link, LogDevice: m.log, DC: m.dc,
-		Epoch: 1, Stats: &m.stats,
-	})
-	m.ship = repl.NewShipper(repl.ShipperConfig{
-		TC: m.left.tc, Link: m.link, Epoch: 1, Stats: &m.stats,
-		Window: 8, AckTimeout: 5 * time.Millisecond,
-		RetryBase: 200 * time.Microsecond, RetryMax: 5 * time.Millisecond,
-		Poll: 50 * time.Microsecond, Seed: m.cfg.Seed,
-	})
-	m.stby.Start()
-	m.ship.Start()
-	return nil
-}
-
-func (m *Merge) catchup(ctx context.Context) error {
-	if err := m.left.tc.Flush(); err != nil {
-		return err
-	}
-	target := m.left.tc.DurableLSN()
-	deadline := time.Now().Add(m.cfg.CatchupWait)
-	for m.stby.AppliedLSN() < target {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("applied %d < durable %d after %v: %w",
-				m.stby.AppliedLSN(), target, m.cfg.CatchupWait, ErrCatchup)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	return nil
-}
-
-func (m *Merge) drain(ctx context.Context) error {
-	deadline := time.Now().Add(m.cfg.DrainWait)
-	for m.left.inflight.Load() > 0 || m.right.inflight.Load() > 0 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%d+%d operations still in flight on the fenced owners after %v: %w",
-				m.left.inflight.Load(), m.right.inflight.Load(), m.cfg.DrainWait, ErrCatchup)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	if err := m.left.tc.Flush(); err != nil {
-		return err
-	}
-	if err := m.right.tc.Flush(); err != nil {
-		return err
-	}
-	if err := m.ship.Drain(m.cfg.DrainWait); err != nil {
-		return err
-	}
-	final := m.left.tc.DurableLSN()
-	for m.stby.AppliedLSN() < final {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("target applied %d < left durable %d: %w",
-				m.stby.AppliedLSN(), final, ErrCatchup)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	return nil
-}
-
-// seal stops the stream, seals the standby, builds the merged owner's TC
-// continuing the left source's log, and copies the right source's final
-// state in through batched, logged transactions. The right source is
-// fenced and drained, so its state is immutable; re-running the copy
+// fold replays a fenced, drained source's final state onto dst in batched,
+// logged transactions. The source is immutable, so re-running the fold
 // after a crash writes the same values again — idempotent, like every
-// other redo in the machine. The new TC's commit clock starts at the max
-// of both sources' clocks so the merged timeline stays monotonic.
-func (m *Merge) seal(ctx context.Context) error {
-	m.ship.Stop()
-	m.stby.Stop()
-	applied, maxTS := m.stby.Seal(2)
-	if durable := m.left.tc.DurableLSN(); applied != durable {
-		return fmt.Errorf("sealed at applied %d but left durable is %d: %w",
-			applied, durable, ErrCatchup)
-	}
-	if clk := m.right.tc.Clock(); clk > maxTS {
-		maxTS = clk
-	}
-	o, err := m.r.sealedOwner(m.mergedSlot, m.dc, m.log, applied, maxTS, m.cfg.Seed)
-	if err != nil {
-		return err
-	}
-	if err := m.copyRight(ctx, o.tc); err != nil {
-		o.eng.Close()
-		return fmt.Errorf("fold right shard state: %w", err)
-	}
-	m.newOwn = o
-	return nil
-}
-
-// copyRight replays the right source's final state onto the merged TC in
-// batched transactions.
-func (m *Merge) copyRight(ctx context.Context, dst *tc.TC) error {
+// other redo in the cutover.
+func fold(ctx context.Context, src *engine.Engine, dst *tc.TC) error {
 	var keys, vals [][]byte
-	err := m.right.eng.Scan(ctx, nil, 0, func(k, v []byte) bool {
+	err := src.Scan(ctx, nil, 0, func(k, v []byte) bool {
 		keys = append(keys, append([]byte(nil), k...))
 		vals = append(vals, append([]byte(nil), v...))
 		return true

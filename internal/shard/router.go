@@ -126,9 +126,8 @@ type owner struct {
 	gen   uint64
 
 	eng     *engine.Engine
-	tc      *tc.TC        // plain shards (migration/resize source/target)
+	tc      *tc.TC        // plain shards (cutover source/target)
 	cluster *repl.Cluster // replicated shards
-	log     ssd.Dev       // plain shards: the recovery-log device
 
 	fenced atomic.Bool
 	// inflight counts writes in progress on this owner. Reads never
@@ -234,7 +233,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	t := &table{m: NewEvenMap(cfg.Shards), owners: make(map[int]*owner, cfg.Shards)}
 	for i := 0; i < cfg.Shards; i++ {
-		o, err := r.newOwner(i, 1)
+		o, err := r.newOwner(r.newTarget(i, 1))
 		if err != nil {
 			for _, built := range t.owners {
 				built.eng.Close()
@@ -255,59 +254,86 @@ func (r *Router) tracer(shard int) *obs.Tracer {
 	return r.cfg.Registry.Tracer(fmt.Sprintf("shard%d", shard))
 }
 
-// newOwner builds a fresh owner for a shard at the given generation:
-// either a plain gated TC or a replicated cluster, behind its own engine
-// front-end.
-func (r *Router) newOwner(shard int, gen uint64) (*owner, error) {
-	tr := r.tracer(shard)
-	o := &owner{shard: shard, gen: gen}
+// seed derives one owner's jitter seed (breaker probes, ship backoff)
+// from the router seed, its slot and its generation.
+func (r *Router) seed(slot int, gen uint64) int64 {
+	return r.cfg.Seed + int64(slot) + int64(gen-1)*7919
+}
+
+// newLog builds a recovery-log device that reports its physical I/O to
+// the slot's tracer.
+func (r *Router) newLog(slot int, name string) ssd.Dev {
+	d := r.cfg.NewLog(name)
+	if tr := r.tracer(slot); tr != nil {
+		d.SetObserver(tr)
+	}
+	return d
+}
+
+// newTarget builds a fresh plain owner's recovery-log device and data
+// component from the router's factories. A replicated shard's cluster
+// builds its own pair, so on a Standby router the target carries only
+// its slot and generation.
+func (r *Router) newTarget(slot int, gen uint64) *target {
+	tg := &target{slot: slot, gen: gen}
+	if !r.cfg.Standby {
+		tg.log = r.newLog(slot, fmt.Sprintf("shard%d-log.%d", slot, gen))
+		tg.dc = r.cfg.NewDC(slot)
+	}
+	return tg
+}
+
+// newOwner is the one constructor of every owner the router routes to,
+// whether New builds it or a cutover seals it. A plain owner is a TC
+// gated by the owner's fence over the target's data component and log; a
+// sealed target's TC continues the shipped log and commit clock in
+// place, exactly like a promoted warm standby. On a Standby router the
+// owner is a replicated cluster instead (cutovers refuse those, so only
+// New builds them). Either way it sits behind its own engine front-end
+// with the fleet's admission config, folded into the slot's tracer.
+func (r *Router) newOwner(tg *target) (*owner, error) {
+	tr := r.tracer(tg.slot)
+	o := &owner{shard: tg.slot, gen: tg.gen}
 	var store engine.Store
 	if r.cfg.Standby {
 		var net *fault.NetInjector
 		if r.cfg.Net != nil {
-			net = r.cfg.Net(shard)
+			net = r.cfg.Net(tg.slot)
 		}
-		plog := r.cfg.NewLog(fmt.Sprintf("shard%d-primary-log.%d", shard, gen))
-		slog := r.cfg.NewLog(fmt.Sprintf("shard%d-standby-log.%d", shard, gen))
-		if tr != nil {
-			plog.SetObserver(tr)
-			slog.SetObserver(tr)
-		}
+		plog := r.newLog(tg.slot, fmt.Sprintf("shard%d-primary-log.%d", tg.slot, tg.gen))
+		slog := r.newLog(tg.slot, fmt.Sprintf("shard%d-standby-log.%d", tg.slot, tg.gen))
 		cl, err := repl.NewCluster(repl.ClusterConfig{
-			PrimaryDC: r.cfg.NewDC(shard), PrimaryLog: plog,
-			StandbyDC: r.cfg.NewDC(shard), StandbyLog: slog,
+			PrimaryDC: r.cfg.NewDC(tg.slot), PrimaryLog: plog,
+			StandbyDC: r.cfg.NewDC(tg.slot), StandbyLog: slog,
 			Net:          net,
 			CommitWait:   r.cfg.CommitWait,
 			AutoFailover: true,
-			AckTimeout:   5 * time.Millisecond,
-			RetryBase:    200 * time.Microsecond,
-			RetryMax:     5 * time.Millisecond,
-			Poll:         50 * time.Microsecond,
-			Window:       8,
-			Seed:         r.cfg.Seed + int64(shard),
+			AckTimeout:   shipTuning.AckTimeout,
+			RetryBase:    shipTuning.RetryBase,
+			RetryMax:     shipTuning.RetryMax,
+			Poll:         shipTuning.Poll,
+			Window:       shipTuning.Window,
+			Seed:         r.seed(tg.slot, tg.gen),
 			Obs:          tr,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("shard %d cluster: %w", shard, err)
+			return nil, fmt.Errorf("shard %d cluster: %w", tg.slot, err)
 		}
 		o.cluster = cl
 		store = cl
 	} else {
-		log := r.cfg.NewLog(fmt.Sprintf("shard%d-log.%d", shard, gen))
-		if tr != nil {
-			log.SetObserver(tr)
-		}
 		t, err := tc.New(tc.Config{
-			DC: r.cfg.NewDC(shard), LogDevice: log,
+			DC: tg.dc, LogDevice: tg.log,
 			LogBufferBytes: r.cfg.LogBufferBytes,
 			CommitGate:     o.gate,
+			LogStartLSN:    tg.start,
+			InitialClock:   tg.clock,
 			Obs:            tr,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("shard %d tc: %w", shard, err)
+			return nil, fmt.Errorf("shard %d tc: %w", tg.slot, err)
 		}
 		o.tc = t
-		o.log = log
 		store = engine.WrapTC(t)
 	}
 	eng, err := engine.New(engine.Config{
@@ -315,14 +341,15 @@ func (r *Router) newOwner(shard int, gen uint64) (*owner, error) {
 		MaxConcurrent:   r.cfg.MaxConcurrent,
 		MaxQueue:        r.cfg.MaxQueue,
 		DefaultTimeout:  r.cfg.DefaultTimeout,
-		ProbeJitterSeed: r.cfg.Seed + int64(shard),
+		ProbeJitterSeed: r.seed(tg.slot, tg.gen),
 		Adaptive:        r.cfg.Adaptive,
 		AdaptiveMin:     r.cfg.AdaptiveMin,
 		AdaptiveMax:     r.cfg.AdaptiveMax,
 		LimitWindow:     r.cfg.LimitWindow,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("shard %d engine: %w", shard, err)
+		store.Close()
+		return nil, fmt.Errorf("shard %d engine: %w", tg.slot, err)
 	}
 	o.eng = eng
 	if tr != nil {

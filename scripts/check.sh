@@ -35,7 +35,7 @@
 # race detector: every seed splits a shard and merges the children back
 # while concurrent writers hit the resizing range over a lossy,
 # periodically partitioned stream link, with an injected crash at every
-# phase boundary of the split and merge state machines, asserting zero
+# phase boundary of the split and merge cutovers, asserting zero
 # lost acked writes, a byte-identical final state against the acked-state
 # oracle, fenced stale owners (split source and both merge sources), and
 # bounded key movement (a hash moves owner iff it lies in the split
@@ -97,31 +97,27 @@ else
         ./internal/wire/... \
         ./internal/integration
 fi
-if [ -n "${CHECK_SCRUB:-}" ]; then
-    CHECK_SCRUB=1 go test -run 'TestScrubSoakLong|TestMirror' -count=1 -timeout 10m \
-        ./internal/ssd \
-        ./internal/integration
-fi
-if [ -n "${CHECK_FAILOVER:-}" ]; then
-    go test -race -run 'TestFailoverChaosSweep' -count=1 -timeout 15m \
-        ./internal/integration -failover.full=true
-fi
-if [ -n "${CHECK_SHARD:-}" ]; then
-    go test -race -run 'TestShardMigrationChaosSweep' -count=1 -timeout 15m \
-        ./internal/integration -shard.full=true
-fi
-if [ -n "${CHECK_RESIZE:-}" ]; then
-    go test -race -run 'TestShardResizeChaosSweep' -count=1 -timeout 15m \
-        ./internal/integration -resize.full=true
-fi
-if [ -n "${CHECK_WIRE:-}" ]; then
-    go test -race -run 'TestWireChaosSweep' -count=1 -timeout 15m \
-        ./internal/integration -wire.full=true
-fi
-if [ -n "${CHECK_OVERLOAD:-}" ]; then
-    go test -race -run 'TestOverloadChaosSweep' -count=1 -timeout 20m \
-        ./internal/integration -overload.full=true
-fi
+# The soak gates, one row each: gate variable, race detector (on/off),
+# timeout, -run regex, comma-separated packages, full-sweep flag (- for
+# none). A gate runs when its variable is set, with the variable set to 1
+# in the test's environment.
+while read -r gate race timeout run pkgs full; do
+    eval "on=\${$gate:-}"
+    if [ -z "$on" ]; then
+        continue
+    fi
+    if [ "$race" = on ]; then race=-race; else race=; fi
+    if [ "$full" = - ]; then full=; fi
+    env "$gate=1" go test $race -run "$run" -count=1 -timeout "$timeout" \
+        $(echo "$pkgs" | tr , ' ') $full </dev/null
+done <<'EOF'
+CHECK_SCRUB     off  10m  TestScrubSoakLong|TestMirror  ./internal/ssd,./internal/integration  -
+CHECK_FAILOVER  on   15m  TestFailoverChaosSweep        ./internal/integration  -failover.full=true
+CHECK_SHARD     on   15m  TestShardMigrationChaosSweep  ./internal/integration  -shard.full=true
+CHECK_RESIZE    on   15m  TestShardResizeChaosSweep     ./internal/integration  -resize.full=true
+CHECK_WIRE      on   15m  TestWireChaosSweep            ./internal/integration  -wire.full=true
+CHECK_OVERLOAD  on   20m  TestOverloadChaosSweep        ./internal/integration  -overload.full=true
+EOF
 if [ -n "${CHECK_MATRIX:-}" ]; then
     go build -o /tmp/kvbench ./cmd/kvbench
     go build -o /tmp/benchdiff ./cmd/benchdiff
