@@ -37,6 +37,27 @@ func BenchmarkCommitSingleWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkCommitHotKey commits single writes to one key. Commit trims the
+// chain as it installs, so B/op stays flat as b.N grows.
+func BenchmarkCommitHotKey(b *testing.B) {
+	c := benchTC(b)
+	key, val := workload.Key(1), workload.ValueFor(1, 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx, err := c.Begin()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tx.Write(key, val); err != nil {
+			b.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkReadVersionStoreHit(b *testing.B) {
 	c := benchTC(b)
 	const keys = 10000

@@ -11,7 +11,6 @@ package tc
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -98,13 +97,19 @@ func encodeCommit(rec commitRecord) []byte {
 	return out
 }
 
+// errCorruptRecord reports a commit record body that encodeCommit cannot
+// have produced.
+var errCorruptRecord = fmt.Errorf("tc: corrupt commit record (%w)", fault.ErrCorrupt)
+
+// decodeCommit accepts exactly what encodeCommit writes: shortest-form
+// varints, entry flags 0 or 1, and no bytes after the last entry.
 func decodeCommit(body []byte) (commitRecord, error) {
 	var rec commitRecord
 	pos := 0
 	get := func() (uint64, error) {
 		v, n := binary.Uvarint(body[pos:])
-		if n <= 0 {
-			return 0, errors.New("tc: truncated log record")
+		if n <= 0 || (n > 1 && body[pos+n-1] == 0) {
+			return 0, fmt.Errorf("%w: bad varint at %d", errCorruptRecord, pos)
 		}
 		pos += n
 		return v, nil
@@ -114,8 +119,9 @@ func decodeCommit(body []byte) (commitRecord, error) {
 		if err != nil {
 			return nil, err
 		}
-		if pos+int(l) > len(body) {
-			return nil, errors.New("tc: truncated log record")
+		// Bound l as a uint64: a length near 2^64 wraps negative as an int.
+		if l > uint64(len(body)-pos) {
+			return nil, fmt.Errorf("%w: field of %d bytes at %d", errCorruptRecord, l, pos)
 		}
 		b := append([]byte(nil), body[pos:pos+int(l)]...)
 		pos += int(l)
@@ -131,8 +137,8 @@ func decodeCommit(body []byte) (commitRecord, error) {
 		return rec, err
 	}
 	for i := uint64(0); i < n; i++ {
-		if pos >= len(body) {
-			return rec, errors.New("tc: truncated log record")
+		if pos >= len(body) || body[pos] > 1 {
+			return rec, fmt.Errorf("%w: bad entry flag at %d", errCorruptRecord, pos)
 		}
 		e := redoEntry{isDelete: body[pos] == 1}
 		pos++
@@ -145,6 +151,9 @@ func decodeCommit(body []byte) (commitRecord, error) {
 			}
 		}
 		rec.entries = append(rec.entries, e)
+	}
+	if pos != len(body) {
+		return rec, fmt.Errorf("%w: %d trailing bytes", errCorruptRecord, len(body)-pos)
 	}
 	return rec, nil
 }
@@ -310,7 +319,7 @@ func replayRange(dev ssd.Dev, from, to int64, retry fault.RetryPolicy, m *metric
 		}
 		rec, err := decodeCommit(body)
 		if err != nil {
-			return sum, fmt.Errorf("tc: corrupt log record at %d: %v (%w)", off, err, fault.ErrCorrupt)
+			return sum, fmt.Errorf("tc: log record at %d: %w", off, err)
 		}
 		if err := fn(rec, off+9+blen); err != nil {
 			return sum, err

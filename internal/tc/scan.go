@@ -20,10 +20,8 @@ type Scanner interface {
 //
 // The scan merges three sources, newest first: the transaction's own
 // writes, the MVCC version store filtered to the snapshot, and the data
-// component. DC values are superseded by any version-store entry for the
-// same key — including versions newer than the snapshot, whose presence
-// means the DC already holds post-snapshot state and the version store is
-// the authority for visibility.
+// component. Visibility follows Read's rule: a key with a version visible
+// to the snapshot takes it, and any other key takes the DC's value.
 func (t *Tx) Scan(start []byte, limit int, fn func(key, val []byte) bool) (err error) {
 	if t.done {
 		return ErrTxDone
@@ -38,7 +36,7 @@ func (t *Tx) Scan(start []byte, limit int, fn func(key, val []byte) bool) (err e
 	// caching tiers by construction.
 	sp.Miss()
 	// Collect the overlay: own writes + visible versions, with own writes
-	// winning; record keys whose visible state is "absent".
+	// winning.
 	type overlayEntry struct {
 		val     []byte
 		deleted bool
@@ -49,21 +47,9 @@ func (t *Tx) Scan(start []byte, limit int, fn func(key, val []byte) bool) (err e
 		if bytes.Compare([]byte(k), start) < 0 {
 			continue
 		}
-		decided := false
-		for _, v := range kv.vs {
-			if v.commitTS <= t.beginTS {
-				overlay[k] = overlayEntry{val: v.val, deleted: v.isDelete}
-				decided = true
-				break
-			}
+		if v, ok := kv.visible(t.beginTS); ok {
+			overlay[k] = overlayEntry{val: v.val, deleted: v.isDelete}
 		}
-		if !decided && !kv.truncated {
-			// Key created after the snapshot: invisible, and the DC may
-			// already hold it — mask it.
-			overlay[k] = overlayEntry{deleted: true}
-		}
-		// decided==false && truncated: the DC holds the globally visible
-		// pre-image; let the DC supply it.
 	}
 	t.tc.mu.Unlock()
 	for k, w := range t.writes {

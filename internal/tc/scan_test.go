@@ -290,3 +290,29 @@ func TestScanModelProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A scan by a snapshot older than a commit overwriting or deleting a
+// DC-only key still sees the DC's pre-image instead of masking the key.
+func TestScanSnapshotKeepsDCOnlyKey(t *testing.T) {
+	for _, del := range []bool{false, true} {
+		t.Run(fmt.Sprintf("delete=%v", del), func(t *testing.T) {
+			c, dc := newScanTC(t)
+			dc.m["a"] = []byte("old")
+			dc.m["k"] = []byte("old")
+			reader, _ := c.Begin()
+			w, _ := c.Begin()
+			if del {
+				w.Delete([]byte("k"))
+			} else {
+				w.Write([]byte("k"), []byte("new"))
+			}
+			if err := w.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			got := collect(t, reader, "", 0)
+			if want := []string{"a=old", "k=old"}; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("snapshot scan = %v, want %v", got, want)
+			}
+		})
+	}
+}

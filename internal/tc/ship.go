@@ -120,7 +120,7 @@ func ApplyLogBytes(buf []byte, dc DataComponent) (records int, maxTS uint64, con
 		}
 		rec, derr := decodeCommit(body)
 		if derr != nil {
-			return records, maxTS, int64(off), fmt.Errorf("tc: corrupt batch record at %d: %v (%w)", off, derr, fault.ErrCorrupt)
+			return records, maxTS, int64(off), fmt.Errorf("tc: batch record at %d: %w", off, derr)
 		}
 		for _, e := range rec.entries {
 			var aerr error

@@ -42,20 +42,25 @@ type version struct {
 	isDelete bool
 }
 
-// keyVersions is a key's version list, newest first. truncated records
-// that GC dropped older versions — a reader that finds no visible version
-// may then fall through to the read cache / data component, whose state is
-// exactly the globally visible pre-image. Without the marker, no visible
-// version means the key did not exist at the snapshot.
+// keyVersions is a key's version chain, newest first and never empty.
+// Commit and GC trim it to what live snapshots can read: one version when
+// no older snapshot is live.
 type keyVersions struct {
-	vs        []version
-	truncated bool
-	// droppedAt is the clock value when GC emptied this key's list
-	// entirely (vs == nil, truncated == true). The empty marker must
-	// survive until every snapshot older than the drop has finished;
-	// otherwise a later re-creation of the key would look brand-new to
-	// those snapshots and mask the DC's globally visible pre-image.
-	droppedAt uint64
+	vs []version
+}
+
+// visible returns the newest version a snapshot at ts reads. A key with no
+// entry (nil) or no visible version reads from the read cache and the data
+// component, whose value every live snapshot shares.
+func (kv *keyVersions) visible(ts uint64) (version, bool) {
+	if kv != nil {
+		for _, v := range kv.vs {
+			if v.commitTS <= ts {
+				return v, true
+			}
+		}
+	}
+	return version{}, false
 }
 
 // Stats counts TC events.
@@ -67,7 +72,7 @@ type Stats struct {
 	VersionStoreHits metrics.Counter // reads served by MVCC versions (log-buffer record cache)
 	ReadCacheHits    metrics.Counter // reads served by the read cache
 	DCReads          metrics.Counter // reads that had to go to the data component
-	VersionsDropped  metrics.Counter // versions reclaimed by GC
+	VersionsDropped  metrics.Counter // versions reclaimed by commit-time trims and GC
 	Scans            metrics.Counter
 	// Retry meters the transient-fault retry budget spent on log I/O.
 	Retry metrics.RetryStats
@@ -222,38 +227,22 @@ func (t *Tx) Read(key []byte) (_ []byte, _ bool, err error) {
 		}
 		return w.val, true, nil
 	}
-	// 2. MVCC version store: newest version with commitTS <= snapshot.
+	// 2. MVCC version store: newest version with commitTS <= snapshot. The
+	// clock is read under the same lock, so every commit it covers has
+	// already reached the data component.
 	tc.mu.Lock()
-	if kv := tc.mvcc[string(key)]; kv != nil {
-		for _, v := range kv.vs {
-			if v.commitTS <= t.beginTS {
-				tc.mu.Unlock()
-				tc.stats.VersionStoreHits.Inc()
-				if ch != nil {
-					ch.Chase(1)
-					ch.Copy(len(v.val))
-					ch.Settle()
-				}
-				if v.isDelete {
-					return nil, false, nil
-				}
-				return v.val, true, nil
-			}
-		}
-		if !kv.truncated {
-			// Every version postdates the snapshot and nothing was GC'd:
-			// the key did not exist at the snapshot.
-			tc.mu.Unlock()
-			tc.stats.VersionStoreHits.Inc()
-			if ch != nil {
-				ch.Settle()
-			}
-			return nil, false, nil
-		}
-	}
+	v, ok := tc.mvcc[string(key)].visible(t.beginTS)
+	clock := tc.clock.Load()
 	tc.mu.Unlock()
-	// A GC-truncated list's pre-image is globally visible — exactly what
-	// the read cache and data component below hold.
+	if ok {
+		tc.stats.VersionStoreHits.Inc()
+		if ch != nil {
+			ch.Chase(1)
+			ch.Copy(len(v.val))
+			ch.Settle()
+		}
+		return v.val, !v.isDelete, nil
+	}
 	// 3. Read cache.
 	if v, ok := tc.rcache.Get(key); ok {
 		tc.stats.ReadCacheHits.Inc()
@@ -272,33 +261,24 @@ func (t *Tx) Read(key []byte) (_ []byte, _ bool, err error) {
 	if ch != nil {
 		ch.Settle() // the DC charges its own operation
 	}
-	clockBefore := tc.clock.Load()
-	v, ok, err := tc.cfg.DC.Get(key)
+	dv, dok, err := tc.cfg.DC.Get(key)
 	if err != nil {
 		return nil, false, err
 	}
-	if ok && !tc.keyChangedSince(key, clockBefore) {
-		// Populate the read cache only if no commit touched the key while
-		// the DC read was in flight — otherwise this value may predate a
-		// concurrent committer's update and would poison later readers.
-		tc.rcache.Add(key, v)
-	}
-	return v, ok, nil
-}
-
-// keyChangedSince reports whether the key gained a version (or lost its
-// versions to GC after a commit) after the given clock value.
-func (tc *TC) keyChangedSince(key []byte, clock uint64) bool {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	kv := tc.mvcc[string(key)]
-	if kv == nil {
-		return false
+	if kv := tc.mvcc[string(key)]; kv != nil && kv.vs[0].commitTS > clock {
+		// A commit raced the DC read, which may have returned its value.
+		// That commit captured this snapshot's pre-image first.
+		if v, ok := kv.visible(t.beginTS); ok {
+			return v.val, !v.isDelete, nil
+		}
+	} else if dok {
+		// No commit since clock: the value is current. Adding it under
+		// tc.mu keeps a commit's invalidation from slipping in between.
+		tc.rcache.Add(key, dv)
 	}
-	if len(kv.vs) > 0 && kv.vs[0].commitTS > clock {
-		return true
-	}
-	return kv.truncated && kv.droppedAt > clock
+	return dv, dok, nil
 }
 
 // Write buffers an update; it becomes visible at commit.
@@ -357,8 +337,7 @@ func (t *Tx) Commit() (err error) {
 	// Write-write conflict check: another committer touched our keys
 	// after our snapshot.
 	for k := range t.writes {
-		kv := tc.mvcc[k]
-		if kv != nil && len(kv.vs) > 0 && kv.vs[0].commitTS > t.beginTS {
+		if kv := tc.mvcc[k]; kv != nil && kv.vs[0].commitTS > t.beginTS {
 			tc.mu.Unlock()
 			tc.stats.Conflicts.Inc()
 			tc.stats.Aborts.Inc()
@@ -379,10 +358,27 @@ func (t *Tx) Commit() (err error) {
 	// equivalent. Reads remain concurrent (they take the same mutex only
 	// briefly) and the log still group-commits.
 	//
-	// The log append comes first: if it fails, no version has been
-	// installed, so the in-memory state never diverges from what recovery
-	// can reconstruct — the transaction simply never committed.
+	// Pre-image captures and the log append come first: if either fails, no
+	// version of this transaction has been installed, so the in-memory state
+	// never diverges from what recovery can reconstruct — the transaction
+	// simply never committed. A captured pre-image only repeats the DC.
 	defer tc.mu.Unlock()
+	oldest := tc.oldestLocked()
+	for _, w := range rec.entries {
+		if oldest == commitTS || tc.mvcc[string(w.key)] != nil {
+			continue
+		}
+		// A key with no entry reads from the data component, which this
+		// commit is about to overwrite. An older snapshot is live, so
+		// capture the pre-image it reads, at timestamp 0: visible to every
+		// live snapshot.
+		pv, pok, err := tc.cfg.DC.Get(w.key)
+		if err != nil {
+			tc.stats.Aborts.Inc()
+			return err
+		}
+		tc.mvcc[string(w.key)] = &keyVersions{vs: []version{{val: pv, isDelete: !pok}}}
+	}
 	if err := tc.log.append(rec); err != nil {
 		tc.stats.Aborts.Inc()
 		return err
@@ -393,23 +389,10 @@ func (t *Tx) Commit() (err error) {
 			kv = &keyVersions{}
 			tc.mvcc[string(w.key)] = kv
 		}
-		if len(kv.vs) == 0 && kv.truncated {
-			// First commit to a key whose versions were GC-truncated: the
-			// pre-image so far lived only in the data component, which
-			// this commit is about to overwrite. Re-capture it into the
-			// version store (at epoch timestamp 0: visible to every live
-			// snapshot, all of which postdate the truncated history) so
-			// active snapshots keep reading their view.
-			pv, pok, err := tc.cfg.DC.Get(w.key)
-			if err != nil {
-				return err
-			}
-			kv.vs = []version{{val: pv, commitTS: 0, isDelete: !pok}}
-			kv.truncated = false
-		}
-		kv.vs = append([]version{{
-			val: w.val, commitTS: commitTS, isDelete: w.isDelete,
-		}}, kv.vs...)
+		kv.vs = append(kv.vs, version{})
+		copy(kv.vs[1:], kv.vs)
+		kv.vs[0] = version{val: w.val, commitTS: commitTS, isDelete: w.isDelete}
+		tc.trimLocked(kv, oldest)
 	}
 	for _, w := range rec.entries {
 		tc.rcache.Invalidate(w.key)
@@ -443,66 +426,58 @@ func (t *Tx) Abort() {
 // Flush forces the recovery log to the device (group commit).
 func (tc *TC) Flush() error { return tc.log.flush() }
 
-// GC trims versions no active transaction can need: for each key, all
-// versions strictly older than the newest version visible to the oldest
-// active snapshot; keys whose newest version is globally visible are
-// dropped entirely (the data component holds the value).
-func (tc *TC) GC() {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
+// oldestLocked returns the oldest snapshot a live transaction reads at: the
+// minimum of the active begin timestamps and the clock.
+func (tc *TC) oldestLocked() uint64 {
 	oldest := tc.clock.Load()
 	for _, begin := range tc.active {
 		if begin < oldest {
 			oldest = begin
 		}
 	}
-	for _, kv := range tc.mvcc {
-		if len(kv.vs) == 0 {
-			continue // an existing truncation marker
-		}
-		if kv.vs[0].commitTS <= oldest {
-			// Globally visible: the DC has this value; drop all versions
-			// but keep a truncation marker. The marker is what lets a
-			// later re-creation of the key be told apart from a
-			// brand-new key: without it, a reader whose snapshot predates
-			// the re-creation would wrongly see "not found" instead of
-			// the DC's globally visible pre-image. Markers are ~48 bytes
-			// per ever-written key — the bounded price of blind updates
-			// without per-record timestamps in the DC.
-			tc.stats.VersionsDropped.Add(int64(len(kv.vs)))
-			kv.vs = nil
-			kv.truncated = true
-			kv.droppedAt = tc.clock.Load()
-			continue
-		}
-		// Keep versions newer than oldest, plus one at-or-below it.
-		cut := len(kv.vs)
-		for i, v := range kv.vs {
-			if v.commitTS <= oldest {
-				cut = i + 1
-				break
+	return oldest
+}
+
+// trimLocked drops every version older than the newest one a snapshot at
+// oldest reads; no live snapshot reads them. The chain keeps its capacity,
+// so a commit installs in place.
+func (tc *TC) trimLocked(kv *keyVersions, oldest uint64) {
+	for i, v := range kv.vs {
+		if v.commitTS <= oldest {
+			if dropped := kv.vs[i+1:]; len(dropped) > 0 {
+				tc.stats.VersionsDropped.Add(int64(len(dropped)))
+				clear(dropped)
+				kv.vs = kv.vs[:i+1]
 			}
-		}
-		if cut < len(kv.vs) {
-			tc.stats.VersionsDropped.Add(int64(len(kv.vs) - cut))
-			kv.vs = kv.vs[:cut]
-			kv.truncated = true
+			return
 		}
 	}
 }
 
-// VersionCount reports the number of keys with live versions — truncation
-// markers left by GC are not counted (for tests and experiments).
+// GC deletes every entry whose newest version is globally visible — the
+// data component holds that value, so readers fall through to it — and
+// trims the rest as Commit does. Commit keeps chains short; GC is what
+// lets entries leave the version store.
+func (tc *TC) GC() {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	oldest := tc.oldestLocked()
+	for k, kv := range tc.mvcc {
+		if kv.vs[0].commitTS <= oldest {
+			tc.stats.VersionsDropped.Add(int64(len(kv.vs)))
+			delete(tc.mvcc, k)
+			continue
+		}
+		tc.trimLocked(kv, oldest)
+	}
+}
+
+// VersionCount reports the number of keys in the version store (for tests
+// and experiments).
 func (tc *TC) VersionCount() int {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	n := 0
-	for _, kv := range tc.mvcc {
-		if len(kv.vs) > 0 {
-			n++
-		}
-	}
-	return n
+	return len(tc.mvcc)
 }
 
 // Close flushes the log and closes the TC.

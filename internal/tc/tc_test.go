@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -131,9 +132,11 @@ func TestKeyCreatedAfterSnapshotInvisible(t *testing.T) {
 	if _, ok, _ := reader.Read([]byte("new")); ok {
 		t.Fatal("snapshot sees a key created after it")
 	}
-	// And the DC must not have been consulted (the version store decides).
-	if dc.gets != 0 {
-		t.Fatalf("DC gets = %d, want 0", dc.gets)
+	// The commit captured the DC's pre-image (absent) for the reader, so
+	// the reader sees no key even after GC.
+	c.GC()
+	if _, ok, _ := reader.Read([]byte("new")); ok {
+		t.Fatal("snapshot sees a key created after it, after GC")
 	}
 }
 
@@ -709,4 +712,159 @@ func (d *failingDC) BlindWrite(key, val []byte) error {
 		return errors.New("injected DC failure")
 	}
 	return d.memDC.BlindWrite(key, val)
+}
+
+// A key that lives only in the data component — the state after Recover,
+// after standby promotion, and in any owner a cutover built — keeps its
+// pre-image for a snapshot that predates a commit overwriting it.
+func TestSnapshotReadsDCOnlyKeyAfterCommit(t *testing.T) {
+	for _, del := range []bool{false, true} {
+		t.Run(fmt.Sprintf("delete=%v", del), func(t *testing.T) {
+			dc := newMemDC()
+			dc.m["k"] = []byte("old")
+			c := newTC(t, dc)
+			reader, _ := c.Begin()
+			w, _ := c.Begin()
+			if del {
+				w.Delete([]byte("k"))
+			} else {
+				w.Write([]byte("k"), []byte("new"))
+			}
+			if err := w.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if v, ok, err := reader.Read([]byte("k")); err != nil || !ok || string(v) != "old" {
+				t.Fatalf("snapshot read = %q,%v,%v, want old", v, ok, err)
+			}
+			fresh, _ := c.Begin()
+			if v, ok, _ := fresh.Read([]byte("k")); ok == del || (!del && string(v) != "new") {
+				t.Fatalf("fresh read = %q,%v after delete=%v", v, ok, del)
+			}
+		})
+	}
+}
+
+// hookDC runs onGet once, inside the next Get, before the lookup; an error
+// it returns fails that Get.
+type hookDC struct {
+	*memDC
+	onGet func() error
+}
+
+func (d *hookDC) Get(key []byte) ([]byte, bool, error) {
+	if f := d.onGet; f != nil {
+		d.onGet = nil
+		if err := f(); err != nil {
+			return nil, false, err
+		}
+	}
+	return d.memDC.Get(key)
+}
+
+// A commit that lands while a reader's DC read is in flight must neither
+// leak its value into the older snapshot nor leave the reader's stale
+// value in the read cache.
+func TestCommitRacingDCReadKeepsSnapshot(t *testing.T) {
+	dc := &hookDC{memDC: newMemDC()}
+	dc.m["k"] = []byte("old")
+	c := newTC(t, dc)
+	reader, _ := c.Begin()
+	dc.onGet = func() error {
+		w, _ := c.Begin()
+		w.Write([]byte("k"), []byte("new"))
+		if err := w.Commit(); err != nil {
+			t.Error(err)
+		}
+		return nil
+	}
+	if v, ok, err := reader.Read([]byte("k")); err != nil || !ok || string(v) != "old" {
+		t.Fatalf("snapshot read = %q,%v,%v, want old", v, ok, err)
+	}
+	reader.Abort()
+	c.GC() // the next read goes to the read cache and the DC
+	fresh, _ := c.Begin()
+	if v, _, _ := fresh.Read([]byte("k")); string(v) != "new" {
+		t.Fatalf("fresh read = %q, want new", v)
+	}
+}
+
+func chainLen(c *TC, key string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.mvcc[key].vs)
+}
+
+// Commit trims a chain as it installs, keeping only what live snapshots
+// read, at a per-commit cost that does not grow with the number of commits
+// to the key.
+func TestHotKeyChainStaysBounded(t *testing.T) {
+	c := newTC(t, newMemDC())
+	commit := func(val string) {
+		t.Helper()
+		tx, _ := c.Begin()
+		tx.Write([]byte("hot"), []byte(val))
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10000; i++ {
+		commit(strconv.Itoa(i))
+	}
+	if n := chainLen(c, "hot"); n != 1 {
+		t.Fatalf("chain after 10000 lone commits = %d versions, want 1", n)
+	}
+	commit("pinned")
+	reader, _ := c.Begin()
+	for i := 0; i < 100; i++ {
+		commit(strconv.Itoa(i))
+	}
+	if v, _, _ := reader.Read([]byte("hot")); string(v) != "pinned" {
+		t.Fatalf("pinned snapshot reads %q, want pinned", v)
+	}
+	reader.Abort()
+	commit("last")
+	if n := chainLen(c, "hot"); n != 1 {
+		t.Fatalf("chain once the older snapshot ended = %d versions, want 1", n)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		commit("v")
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 2<<10 {
+		t.Fatalf("one commit to a hot key allocates %d B, want < 2 KiB", per)
+	}
+}
+
+// A commit whose pre-image capture fails aborts before its log record is
+// written: recovery never replays it and the DC keeps the old value.
+func TestFailedCaptureAbortsCommit(t *testing.T) {
+	logDev := ssd.New(ssd.SamsungSSD)
+	dc := &hookDC{memDC: newMemDC()}
+	dc.m["k"] = []byte("old")
+	c, err := New(Config{DC: dc, LogDevice: logDev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, _ := c.Begin()
+	w, _ := c.Begin()
+	w.Write([]byte("k"), []byte("lost"))
+	dc.onGet = func() error { return errors.New("injected DC read failure") }
+	if err := w.Commit(); err == nil {
+		t.Fatal("commit succeeded without its pre-image capture")
+	}
+	if v, _, _ := reader.Read([]byte("k")); string(v) != "old" {
+		t.Fatalf("snapshot read = %q, want old", v)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := Recover(logDev, newMemDC()); err != nil || res.Applied != 0 {
+		t.Fatalf("recovery applied %d entries (err %v), want 0", res.Applied, err)
+	}
+	if string(dc.m["k"]) != "old" {
+		t.Fatalf("DC holds %q, want old", dc.m["k"])
+	}
 }

@@ -76,8 +76,10 @@ fi
 go vet ./...
 go build ./...
 go test $SHORT ./...
-# One iteration of the LSM scan and compaction benchmarks, so they cannot rot.
+# One iteration of the LSM scan and compaction benchmarks and the TC commit
+# and read benchmarks, so they cannot rot.
 go test -run '^$' -bench 'Scan|Compaction' -benchtime 1x ./internal/lsm
+go test -run '^$' -bench 'Commit|Read' -benchtime 1x ./internal/tc
 if [ -n "${CHECK_RACE:-}" ]; then
     go test -race -short ./...
 else
