@@ -82,9 +82,9 @@ func TestProbeBackoffDoubling(t *testing.T) {
 			t.Fatalf("probe armed at %v, want within [now+%v, now+%v]", at.Sub(before), want/2, want)
 		}
 	}
-	arm(true, 10*time.Millisecond)   // fresh trip: base
-	arm(false, 20*time.Millisecond)  // failed probe: doubled
-	arm(false, 40*time.Millisecond)  // doubled again
-	arm(false, 40*time.Millisecond)  // capped at ProbeMaxBackoff
-	arm(true, 10*time.Millisecond)   // next trip restarts at base
+	arm(true, 10*time.Millisecond)  // fresh trip: base
+	arm(false, 20*time.Millisecond) // failed probe: doubled
+	arm(false, 40*time.Millisecond) // doubled again
+	arm(false, 40*time.Millisecond) // capped at ProbeMaxBackoff
+	arm(true, 10*time.Millisecond)  // next trip restarts at base
 }

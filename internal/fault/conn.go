@@ -9,17 +9,18 @@ import (
 
 // Conn wraps a net.Conn and applies a NetInjector's per-message outcomes
 // to every Write call. The contract with the protocol layer is that one
-// Write carries exactly one self-delimiting frame (internal/wire/frame
-// writes frames that way), so the injector's message-granular faults map
-// cleanly onto a byte stream:
+// Write carries one or more whole self-delimiting frames, never part of
+// one (internal/wire batches frames that way), so the injector's
+// message-granular faults map cleanly onto a byte stream, each outcome
+// acting on every frame of the write:
 //
-//   - Drop: the write reports success but the frame never leaves — the
+//   - Drop: the write reports success but its frames never leave — the
 //     stream stays decodable because whole frames are the loss unit.
-//   - Dup: the frame is transmitted twice back to back.
-//   - Hold: the frame is delivered right after the next one (minimal
-//     reordering).
-//   - HalfClose: this direction dies silently — the frame, and every
-//     later write on this Conn, reports success and vanishes, while
+//   - Dup: the frames are transmitted twice back to back.
+//   - Hold: the frames are delivered right after the next write's
+//     (minimal reordering).
+//   - HalfClose: this direction dies silently — the frames, and every
+//     later write on this Conn, report success and vanish, while
 //     reads keep flowing. The peer only notices through missing traffic.
 //   - Stall: the connection wedges — this write, and every later one,
 //     blocks until the write deadline expires or the Conn is closed, like
@@ -37,7 +38,7 @@ type Conn struct {
 	inj *NetInjector
 
 	wmu     sync.Mutex
-	held    []byte // one frame held for reordering
+	held    []byte // one write's frames held for reordering
 	outDead bool   // half-closed: writes succeed but vanish
 	stalled bool   // wedged: writes block until deadline/close
 
@@ -55,7 +56,7 @@ func WrapConn(c net.Conn, inj *NetInjector) *Conn {
 	return &Conn{Conn: c, inj: inj, closed: make(chan struct{})}
 }
 
-// Write applies one injector outcome to the frame in p.
+// Write applies one injector outcome to the frames in p.
 func (c *Conn) Write(p []byte) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()

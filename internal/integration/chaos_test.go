@@ -242,7 +242,7 @@ func runChaos(t *testing.T, variant chaosVariant, seed int64, overload, mirrored
 			next += int64(20 + rng.Intn(60))
 			flipInj.FlipBitOnWrite(next, rng.Int63n(8*ssd.MirrorPageSize))
 		}
-		dev.SetFaultInjector(inj)          // both legs: latency spikes
+		dev.SetFaultInjector(inj)                  // both legs: latency spikes
 		mir.Leg(flipLeg).SetFaultInjector(flipInj) // one leg: flips + read errors
 		mir.StartScrub(20000)
 		defer mir.StopScrub()

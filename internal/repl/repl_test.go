@@ -286,7 +286,7 @@ func TestAutoFailoverOnDegradedPrimary(t *testing.T) {
 	}
 	// Kill the primary's log device persistently: the TC latches degraded,
 	// and either the inline ErrDegraded path or the watcher promotes.
-	inj.FailNextWrites(1 << 30, fault.ClassPersistent)
+	inj.FailNextWrites(1<<30, fault.ClassPersistent)
 	deadline := time.Now().Add(5 * time.Second)
 	for !p.c.Promoted() {
 		// Keep poking writes: the first few fail while the latch trips.

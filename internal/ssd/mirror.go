@@ -89,7 +89,7 @@ type Mirror struct {
 	healths []*metrics.Health  // latched read-only on quarantine
 	closed  bool
 
-	stats  metrics.IOStats    // logical mirror-level I/O (one per caller request)
+	stats  metrics.IOStats // logical mirror-level I/O (one per caller request)
 	mstats metrics.MirrorStats
 
 	scrubMu   sync.Mutex

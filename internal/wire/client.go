@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -135,7 +136,8 @@ func (c *ClientConfig) defaultClass() overload.Class {
 // chaos harness bounds.
 type ClientStats struct {
 	// Ops counts logical operations started; Sent counts request frames
-	// written (first attempts + retries + hedges).
+	// handed to the connection's send queue (first attempts + retries +
+	// hedges).
 	Ops  metrics.Counter
 	Sent metrics.Counter
 	// Retries counts re-sent attempts; Hedges counts duplicate reads sent
@@ -409,10 +411,8 @@ func (c *Client) attempt(ctx context.Context, req request, isRead bool) (body []
 	}
 
 	call := cc.register(req.Seq)
-	defer cc.unregister(req.Seq)
-	payload := encodeRequest(nil, req)
-	if err := cc.send(payload, attemptDl); err != nil {
-		cc.fail(err)
+	defer cc.unregister(req.Seq, call)
+	if err := cc.send(req, attemptDl); err != nil {
 		return nil, true, 0, err
 	}
 	c.stats.Sent.Inc()
@@ -432,12 +432,12 @@ func (c *Client) attempt(ctx context.Context, req request, isRead bool) (body []
 			cc.consecTO.Store(0)
 			return c.settleStatus(call)
 		case <-hedge:
-			// Tail-latency hedge: same seq, same connection — a duplicate
-			// response is ignored, a duplicate write would be deduped, but
-			// only reads hedge.
+			// Tail-latency hedge: same seq, same connection, the same
+			// bytes re-encoded — a duplicate response is ignored, a
+			// duplicate write would be deduped, but only reads hedge.
 			hedge = nil
 			c.stats.Hedges.Inc()
-			if err := cc.send(payload, attemptDl); err == nil {
+			if err := cc.send(req, attemptDl); err == nil {
 				c.stats.Sent.Inc()
 			}
 		case <-timer.C:
@@ -572,10 +572,18 @@ func (c *Client) dropConn() {
 	c.mu.Unlock()
 }
 
-// clientConn is one dialed connection with its pending-call table.
+// clientConn is one dialed connection with its pending-call table and
+// its send queue.
 type clientConn struct {
-	c   net.Conn
-	wmu sync.Mutex
+	c net.Conn
+
+	// qmu guards the send queue: frames encoded by callers, written by
+	// whichever caller is the flusher. spare is the flusher's other
+	// buffer, swapped with queue so neither is reallocated per batch.
+	qmu      sync.Mutex
+	queue    []byte
+	spare    []byte
+	flushing bool
 
 	mu      sync.Mutex
 	pending map[uint64]*call
@@ -586,42 +594,91 @@ type clientConn struct {
 	consecTO atomic.Int64
 }
 
-// call is one in-flight request registration.
+// call is one in-flight attempt's registration. Records are pooled, so an
+// attempt allocates neither a call nor its done channel.
 type call struct {
-	done   chan struct{}
+	done   chan struct{} // capacity 1: signaled once, under clientConn.mu
 	status Status
 	body   []byte
 }
 
+var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
+
 func (cc *clientConn) register(seq uint64) *call {
-	cl := &call{done: make(chan struct{})}
+	cl := callPool.Get().(*call)
 	cc.mu.Lock()
 	cc.pending[seq] = cl
 	cc.mu.Unlock()
 	return cl
 }
 
-func (cc *clientConn) unregister(seq uint64) {
+// unregister retires cl and pools it. A response settles a call only
+// while it is pending, under cc.mu, so once it is out of the table and
+// its signal is drained nothing can reach it any more.
+func (cc *clientConn) unregister(seq uint64, cl *call) {
 	cc.mu.Lock()
-	delete(cc.pending, seq)
+	if cc.pending[seq] == cl {
+		delete(cc.pending, seq)
+	}
 	cc.mu.Unlock()
+	select {
+	case <-cl.done:
+	default:
+	}
+	cl.status, cl.body = 0, nil
+	callPool.Put(cl)
 }
 
-// send writes one framed request as a single Write with the attempt
-// deadline as the write deadline, so a stalled connection surfaces as a
-// failed attempt rather than a wedged goroutine.
-func (cc *clientConn) send(payload []byte, deadline time.Time) error {
-	cc.wmu.Lock()
-	defer cc.wmu.Unlock()
-	cc.c.SetWriteDeadline(deadline)
-	return frame.Write(cc.c, payload)
+// send encodes req as one frame onto the connection's send queue. If no
+// flush is running the caller becomes the flusher: it writes the whole
+// queue, frames added meanwhile included, until the queue is empty, each
+// batch as one Write under the caller's attempt deadline, so a stalled
+// connection surfaces as a failed attempt rather than a wedged goroutine.
+// If a flush is running the caller returns at once and its frame goes out
+// in the flusher's next write. A failed write fails the connection, so
+// every attempt whose frame it carried sees cc.broken and retries.
+func (cc *clientConn) send(req request, deadline time.Time) error {
+	cc.qmu.Lock()
+	cc.queue = appendRequestFrame(cc.queue, req)
+	if cc.flushing {
+		cc.qmu.Unlock()
+		return nil
+	}
+	cc.flushing = true
+	for len(cc.queue) > 0 {
+		buf := cc.queue
+		cc.queue = cc.spare[:0]
+		cc.qmu.Unlock()
+		cc.c.SetWriteDeadline(deadline)
+		_, err := cc.c.Write(buf)
+		cc.qmu.Lock()
+		// Keep the buffer for the next batch unless a run of big Puts
+		// grew it past the server's batch cap.
+		cc.spare = nil
+		if cap(buf) <= writeBatchBytes {
+			cc.spare = buf[:0]
+		}
+		if err != nil {
+			cc.queue = cc.queue[:0]
+			cc.flushing = false
+			cc.qmu.Unlock()
+			cc.fail(err)
+			return err
+		}
+	}
+	cc.flushing = false
+	cc.qmu.Unlock()
+	return nil
 }
 
 // receive decodes responses and settles pending calls until the
-// connection dies.
+// connection dies. Frames come through one buffered reader; each payload
+// is still freshly allocated, because the bodies handed to callers (a
+// Get's value, a scan's pairs) alias it.
 func (cc *clientConn) receive() {
+	br := bufio.NewReaderSize(cc.c, readBufBytes)
 	for {
-		payload, err := frame.Read(cc.c, frame.MaxBytes)
+		payload, err := frame.Read(br, frame.MaxBytes)
 		if err != nil {
 			cc.fail(err)
 			return
@@ -631,14 +688,14 @@ func (cc *clientConn) receive() {
 			continue // damaged response frame: the attempt timer recovers
 		}
 		cc.mu.Lock()
-		cl := cc.pending[seq]
-		delete(cc.pending, seq)
-		cc.mu.Unlock()
-		if cl == nil {
-			continue // duplicate or hedged response already settled
+		if cl := cc.pending[seq]; cl != nil {
+			delete(cc.pending, seq)
+			cl.status, cl.body = st, body
+			cl.done <- struct{}{}
 		}
-		cl.status, cl.body = st, body
-		close(cl.done)
+		// A seq with no pending call is a duplicate or hedged response
+		// already settled.
+		cc.mu.Unlock()
 	}
 }
 

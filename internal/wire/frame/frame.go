@@ -88,9 +88,10 @@ func Decode(b []byte, max int) (payload, rest []byte, err error) {
 	return payload, body[n:], nil
 }
 
-// Write writes one frame carrying payload to w as a single Write call, so
-// transports that apply per-message fault outcomes (fault.Conn) treat the
-// frame as one unit.
+// Write writes one frame carrying payload to w as a single Write call.
+// Writers of this framing hand a transport one or more whole frames per
+// Write, never part of one, so transports that apply per-write fault
+// outcomes (fault.Conn) drop, duplicate or hold whole frames.
 func Write(w io.Writer, payload []byte) error {
 	buf := Append(make([]byte, 0, HeaderLen+len(payload)), payload)
 	_, err := w.Write(buf)

@@ -29,6 +29,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"time"
 
 	"costperf/internal/engine"
@@ -37,7 +38,38 @@ import (
 	"costperf/internal/repl"
 	"costperf/internal/shard"
 	"costperf/internal/ssd"
+	"costperf/internal/wire/frame"
 )
+
+// readBufBytes sizes the per-connection read buffer on both ends: large
+// enough that one read syscall takes in a run of pipelined frames, small
+// enough that an idle connection costs little. Larger frames bypass it.
+const readBufBytes = 4 << 10
+
+// beginFrame reserves a frame header (internal/wire/frame's layout) at
+// the end of dst for a payload the caller appends next; sealFrame fills
+// the header in. Encoding straight into a send buffer this way skips the
+// payload's own allocation and the copy frame.Append would make of it.
+func beginFrame(dst []byte) ([]byte, int) {
+	var hdr [frame.HeaderLen]byte
+	return append(dst, hdr[:]...), len(dst)
+}
+
+// sealFrame writes the length and CRC of the payload that follows the
+// header beginFrame reserved at b[start:].
+func sealFrame(b []byte, start int) {
+	payload := b[start+frame.HeaderLen:]
+	binary.BigEndian.PutUint32(b[start:start+4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(b[start+4:start+8], crc32.ChecksumIEEE(payload))
+}
+
+// appendRequestFrame appends r to dst as one whole frame.
+func appendRequestFrame(dst []byte, r request) []byte {
+	b, start := beginFrame(dst)
+	b = encodeRequest(b, r)
+	sealFrame(b, start)
+	return b
+}
 
 // Operation codes. The low 5 bits of the op byte carry the code; the
 // top 3 bits carry the request's priority class (see classToWire), so
@@ -306,10 +338,13 @@ func decodeRequest(b []byte) (request, error) {
 	if r.Class, ok = classFromWire(b[0] >> 5); !ok {
 		return r, ErrBadMessage
 	}
-	if b[0]>>5 == 0 && r.Op == opScan {
+	if r.Op == opScan && r.Class == overload.ClassNormal {
 		// An unspecified class takes the op's natural default: scans are
 		// the first rung of the brownout ladder unless the client says
 		// otherwise, matching the engine's own untagged-scan behavior.
+		// An explicit normal (wire value 3) gets the same: classToWire
+		// never sends it, since normal is the untagged default, so a
+		// decoded request always re-encodes to itself.
 		r.Class = overload.ClassScan
 	}
 	r.ClientID = binary.BigEndian.Uint64(b[1:9])

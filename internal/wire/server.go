@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -19,7 +20,9 @@ import (
 
 // Backend is what the server fronts: the engine front-end satisfies it
 // directly, so every wire request inherits admission control, circuit
-// breaking, and deadline propagation.
+// breaking, and deadline propagation. The server reads the value a Get
+// returns until its response is written and never modifies it, so a
+// backend must not reuse those bytes.
 type Backend interface {
 	Get(ctx context.Context, key []byte) ([]byte, bool, error)
 	Put(ctx context.Context, key, val []byte) error
@@ -222,7 +225,7 @@ func (s *Server) ServeConn(c net.Conn) {
 		s:    s,
 		c:    c,
 		sem:  make(chan struct{}, s.cfg.MaxInFlight),
-		out:  make(chan []byte, s.cfg.MaxInFlight+2),
+		out:  make(chan response, s.cfg.MaxInFlight+2),
 		done: make(chan struct{}),
 	}
 	sc.infCond.L = &sc.infMu
@@ -307,14 +310,14 @@ func (s *Server) Close() error {
 }
 
 // srvConn is one served connection: a reader that decodes and dispatches
-// under the in-flight window, a writer that serializes responses with
-// stall eviction, and a handler goroutine per in-flight request.
+// under the in-flight window, a writer that batches responses into one
+// write with stall eviction, and a handler goroutine per in-flight request.
 type srvConn struct {
 	s *Server
 	c net.Conn
 
 	sem chan struct{} // in-flight window slots
-	out chan []byte   // encoded response frames
+	out chan response // responses waiting for the writer
 
 	// infMu guards the in-flight request count and the drain gate. A plain
 	// WaitGroup cannot express "wait for zero while arrivals may still
@@ -372,31 +375,63 @@ func (sc *srvConn) gracefulClose() {
 		sc.infCond.Wait()
 	}
 	sc.infMu.Unlock()
-	sc.trySend(nil) // flush sentinel; writer closes after writing everything before it
+	sc.trySend(response{flush: true}) // writer closes after writing everything before it
 }
 
-// trySend queues an encoded frame (or the nil flush sentinel) without
-// ever blocking past a hard close.
-func (sc *srvConn) trySend(buf []byte) {
+// response is one reply waiting for the writer, which encodes it straight
+// into its batch. An OK Get's body is found(1) then val; every other
+// response's body is carried as is.
+type response struct {
+	seq   uint64
+	st    Status
+	get   bool // an OK Get: found precedes val on the wire
+	found bool
+	body  []byte
+	flush bool // the drain sentinel: close once everything before it is written
+}
+
+// appendResponseFrame appends r to dst as one whole frame.
+func appendResponseFrame(dst []byte, r response) []byte {
+	b, start := beginFrame(dst)
+	b = encodeResponse(b, r.seq, r.st, nil)
+	if r.get {
+		found := byte(0)
+		if r.found {
+			found = 1
+		}
+		b = append(b, found)
+	}
+	b = append(b, r.body...)
+	sealFrame(b, start)
+	return b
+}
+
+// trySend queues a response (or the flush sentinel) without ever
+// blocking past a hard close.
+func (sc *srvConn) trySend(r response) {
 	select {
-	case sc.out <- buf:
+	case sc.out <- r:
 	case <-sc.done:
 	}
 }
 
-// respond encodes and queues one response.
+// respond queues one response.
 func (sc *srvConn) respond(seq uint64, st Status, body []byte) {
-	sc.trySend(frame.Append(nil, encodeResponse(nil, seq, st, body)))
+	sc.trySend(response{seq: seq, st: st, body: body})
 }
 
 // reader decodes requests and dispatches them under the in-flight window.
+// Frames come through one buffered reader, so a read syscall takes in
+// every frame the client has sent so far; frame.Read still hands each
+// request a freshly allocated payload, which its handler keeps.
 func (sc *srvConn) reader() {
 	defer sc.s.wg.Done()
+	br := bufio.NewReaderSize(sc.c, readBufBytes)
 	for {
 		if idle := sc.s.cfg.ReadIdleTimeout; idle > 0 {
 			sc.c.SetReadDeadline(time.Now().Add(idle))
 		}
-		payload, err := frame.Read(sc.c, frame.MaxBytes)
+		payload, err := frame.Read(br, frame.MaxBytes)
 		if err != nil {
 			if errors.Is(err, frame.ErrCRC) {
 				// The stream is still framed; the damaged request is simply
@@ -444,25 +479,37 @@ func (sc *srvConn) reader() {
 		}
 		sc.s.stats.InFlight.Add(1)
 		sc.s.stats.InFlightPeak.Max(sc.s.stats.InFlight.Value())
-		// Requests own their key/val bytes: the read buffer is per-frame,
-		// but the handler outlives this loop iteration.
+		// Requests own their key/val bytes: frame.Read allocates each
+		// payload afresh, and the handler outlives this loop iteration.
 		sc.s.wg.Add(1)
 		go sc.handle(req)
 	}
 }
 
-// writer serializes responses with slow-client eviction.
+// writeBatchBytes caps one batched response write: the writer stops
+// taking queued responses once its batch holds this much, so a window of
+// large scan responses goes out in several writes rather than pinning
+// megabytes per connection. A single larger response is written alone.
+const writeBatchBytes = 64 << 10
+
+// writer serializes responses with slow-client eviction. It blocks for
+// one response, then takes every response already queued behind it
+// without waiting, and sends the batch with one deadline and one Write:
+// at depth 1 that is one frame and no added latency, under pipelining the
+// responses share the syscall.
 func (sc *srvConn) writer() {
 	defer sc.s.wg.Done()
+	var buf []byte
 	for {
+		var r response
 		select {
-		case buf := <-sc.out:
-			if buf == nil {
-				// Flush sentinel: everything queued before it has been
-				// written; the graceful close completes here.
-				sc.close()
-				return
-			}
+		case r = <-sc.out:
+		case <-sc.done:
+			return
+		}
+		batch, n, flush := sc.batch(buf[:0], r)
+		buf = batch
+		if n > 0 {
 			if stall := sc.s.cfg.WriteStallTimeout; stall > 0 {
 				sc.c.SetWriteDeadline(time.Now().Add(stall))
 			}
@@ -473,19 +520,49 @@ func (sc *srvConn) writer() {
 				sc.close()
 				return
 			}
-			sc.s.stats.Responses.Inc()
-		case <-sc.done:
+			sc.s.stats.Responses.Add(int64(n))
+		}
+		if cap(buf) > writeBatchBytes {
+			buf = nil // a large scan's buffer is not kept
+		}
+		if flush {
+			// Everything queued before the sentinel has been written; the
+			// graceful close completes here.
+			sc.close()
 			return
 		}
 	}
+}
+
+// batch frames r and every response queued behind it into buf, up to the
+// byte cap or the flush sentinel, and returns the batch, the number of
+// frames in it, and whether the sentinel was reached.
+func (sc *srvConn) batch(buf []byte, r response) ([]byte, int, bool) {
+	n := 0
+	for !r.flush {
+		buf = appendResponseFrame(buf, r)
+		n++
+		if len(buf) >= writeBatchBytes {
+			return buf, n, false
+		}
+		select {
+		case r = <-sc.out:
+		default:
+			return buf, n, false
+		}
+	}
+	return buf, n, true
 }
 
 // handle executes one request and queues its response.
 func (sc *srvConn) handle(req request) {
 	defer sc.s.wg.Done()
 	defer func() {
-		<-sc.sem
+		// Leave the gauge before freeing the slot: the reader takes a
+		// freed slot and counts itself in at once, so the other order
+		// lets InFlight read one past the window.
 		sc.s.stats.InFlight.Add(-1)
+		<-sc.sem
 		sc.endRequest()
 	}()
 
@@ -505,15 +582,9 @@ func (sc *srvConn) handle(req request) {
 	switch req.Op {
 	case opGet:
 		v, ok, err := sc.s.cfg.Backend.Get(ctx, req.Key)
-		st, msg = statusOf(err)
-		if st == StatusOK {
-			body = make([]byte, 0, 1+len(v))
-			if ok {
-				body = append(body, 1)
-				body = append(body, v...)
-			} else {
-				body = append(body, 0)
-			}
+		if st, msg = statusOf(err); st == StatusOK {
+			sc.trySend(response{seq: req.Seq, get: true, found: ok, body: v})
+			return
 		}
 	case opPut, opDelete:
 		st, msg = sc.write(ctx, req)

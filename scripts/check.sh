@@ -74,12 +74,15 @@ if [ -n "${CHECK_SHORT:-}" ]; then
 fi
 
 go vet ./...
+# Every tracked Go file is gofmt-clean: the gate fails on any file listed.
+test -z "$(gofmt -l $(git ls-files '*.go') | tee /dev/stderr)"
 go build ./...
 go test $SHORT ./...
-# One iteration of the LSM scan and compaction benchmarks and the TC commit
-# and read benchmarks, so they cannot rot.
+# One iteration of the LSM scan and compaction benchmarks, the TC commit
+# and read benchmarks and the wire round-trip benchmark, so they cannot rot.
 go test -run '^$' -bench 'Scan|Compaction' -benchtime 1x ./internal/lsm
 go test -run '^$' -bench 'Commit|Read' -benchtime 1x ./internal/tc
+go test -run '^$' -bench 'RoundTrip' -benchtime 1x ./internal/wire
 if [ -n "${CHECK_RACE:-}" ]; then
     go test -race -short ./...
 else
