@@ -18,7 +18,7 @@ import (
 // the charger's context (if any) aborts both the I/O and the backoff.
 func (t *Tree) storeRead(addr logstore.Address, ch *sim.Charger) (logstore.Record, error) {
 	var rec logstore.Record
-	err := t.cfg.Retry.DoCtx(ch.Context(), &t.stats.Retry, func() error {
+	err := fault.DefaultRetry().DoCtx(ch.Context(), &t.stats.Retry, func() error {
 		var rerr error
 		rec, rerr = t.cfg.Store.Read(addr, ch)
 		return rerr
@@ -668,7 +668,7 @@ func Open(cfg Config) (*Tree, error) {
 	if !sawMeta {
 		return nil, ErrNoCheckpoint
 	}
-	t := &Tree{cfg: cfg, table: mapping.New[pageHeader](cfg.MaxPIDs), root: root}
+	t := &Tree{cfg: cfg, table: mapping.New[pageHeader](0), root: root}
 	// Track the live checkpoint record so GC relocates rather than drops it.
 	t.metaAddr = metaAddr
 	for pidRaw, addr := range checkpointed {

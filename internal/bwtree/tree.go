@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"costperf/internal/fault"
 	"costperf/internal/llama/logstore"
 	"costperf/internal/llama/mapping"
 	"costperf/internal/metrics"
@@ -39,11 +38,6 @@ type Config struct {
 	// ConsolidateAfter is the delta-chain length that triggers
 	// consolidation. Default 8.
 	ConsolidateAfter int
-	// MaxPIDs bounds the mapping table (0 = unbounded).
-	MaxPIDs uint64
-	// Retry bounds the backoff loop around log-store page reads; the zero
-	// value takes fault.DefaultRetry.
-	Retry fault.RetryPolicy
 	// Obs, when non-nil, receives one tracing span per public operation
 	// (page-load misses marked; see internal/obs). Nil traces nothing at
 	// zero cost.
@@ -95,7 +89,7 @@ type Tree struct {
 // New creates an empty tree.
 func New(cfg Config) (*Tree, error) {
 	cfg.setDefaults()
-	t := &Tree{cfg: cfg, table: mapping.New[pageHeader](cfg.MaxPIDs)}
+	t := &Tree{cfg: cfg, table: mapping.New[pageHeader](0)}
 	rootPID, err := t.table.Allocate()
 	if err != nil {
 		return nil, err

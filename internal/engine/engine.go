@@ -167,11 +167,9 @@ type Stats struct {
 	// its high-water mark.
 	QueueDepth metrics.Gauge
 	QueuePeak  metrics.Gauge
-	// WaitMicros samples wall-clock admission wait per queued operation;
-	// OpMicros samples wall-clock execution latency of admitted
-	// operations (both in microseconds).
+	// WaitMicros samples wall-clock admission wait per queued operation
+	// (in microseconds).
 	WaitMicros metrics.Histogram
-	OpMicros   metrics.Histogram
 	// Breaker is the circuit state: healthy = closed, degraded = open,
 	// probing = half-open. Its Probes/Restores counters meter the
 	// half-open cycle; Degradations counts trips (including re-trips
@@ -287,12 +285,10 @@ func (e *Engine) admit(parent context.Context, class overload.Class) (ctx contex
 		e.stats.WaitMicros.Observe(float64(wait.Microseconds()))
 	}
 	e.stats.Admitted.Inc()
-	opStart := time.Now()
 	done = func() {
 		// Release feeds the op's in-store latency to the gradient
 		// controller — the signal the adaptive limit steers by.
 		e.lim.Release(tk, true)
-		e.stats.OpMicros.Observe(float64(time.Since(opStart).Microseconds()))
 		cancel()
 	}
 	return ctx, done, nil

@@ -2,7 +2,6 @@ package integration
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -51,21 +50,6 @@ const (
 
 func chaosKey(idx int) []byte { return []byte(fmt.Sprintf("k%05d", idx)) }
 
-func chaosVal(idx int, version uint64) []byte {
-	v := make([]byte, 12)
-	binary.BigEndian.PutUint32(v, uint32(idx))
-	binary.BigEndian.PutUint64(v[4:], version)
-	return v
-}
-
-func decodeChaosVal(t *testing.T, v []byte) (int, uint64) {
-	t.Helper()
-	if len(v) != 12 {
-		t.Fatalf("value has %d bytes, want 12", len(v))
-	}
-	return int(binary.BigEndian.Uint32(v)), binary.BigEndian.Uint64(v[4:])
-}
-
 // slowStore adds a little real wall-clock latency to every operation.
 // The stores themselves run in virtual time and finish in nanoseconds of
 // wall clock, so without it an overload run with MaxConcurrent=1 would
@@ -86,10 +70,9 @@ func (s *slowStore) Put(ctx context.Context, key, val []byte) error {
 	return s.Store.Put(ctx, key, val)
 }
 
-// chaosState is the shared issued/acked/floor bookkeeping.
+// chaosState adds the checkpoint floor to the version ledger.
 type chaosState struct {
-	issued  [chaosKeys]atomic.Uint64 // highest version handed to a Put
-	acked   [chaosKeys]atomic.Uint64 // highest version whose Put returned nil
+	*versionLedger
 	floorMu sync.Mutex
 	floor   [chaosKeys]uint64 // acked snapshot at the last durable checkpoint
 	crashed atomic.Bool
@@ -268,7 +251,7 @@ func runChaos(t *testing.T, variant chaosVariant, seed int64, overload, mirrored
 		t.Fatalf("engine.New: %v", err)
 	}
 
-	state := &chaosState{}
+	state := &chaosState{versionLedger: newVersionLedger(chaosKeys)}
 	ctx := context.Background()
 
 	// Mirrored runs must never surface corruption to a caller: every
@@ -346,13 +329,12 @@ func runChaos(t *testing.T, variant chaosVariant, seed int64, overload, mirrored
 				switch op := wrng.Intn(10); {
 				case op < 6: // put to an owned key
 					idx := w*chaosKeysPerWriter + wrng.Intn(chaosKeysPerWriter)
-					ver := state.issued[idx].Load() + 1
-					state.issued[idx].Store(ver) // before the Put: observed <= issued
-					err := eng.Put(ctx, chaosKey(idx), chaosVal(idx, ver))
+					ver := state.issue(idx)
+					err := eng.Put(ctx, chaosKey(idx), versionVal(idx, ver))
 					noteErr(err)
 					switch {
 					case err == nil:
-						state.acked[idx].Store(ver)
+						state.ack(idx, ver)
 						ackedPuts.Add(1)
 					case errors.Is(err, fault.ErrCrashed):
 						state.crashed.Store(true)
@@ -381,25 +363,17 @@ func runChaos(t *testing.T, variant chaosVariant, seed int64, overload, mirrored
 						}
 						continue
 					}
-					ki, ver := decodeChaosVal(t, v)
-					if ki != idx {
-						t.Errorf("seed %d: key %d returned value of key %d", seed, idx, ki)
-					}
-					if ver < ackedFloor {
-						t.Errorf("seed %d: key %d went back in time: read v%d after v%d was acked", seed, idx, ver, ackedFloor)
-					}
-					if hi := state.issued[idx].Load(); ver > hi {
-						t.Errorf("seed %d: key %d read v%d, but only v%d was ever issued", seed, idx, ver, hi)
+					if err := state.checkVersion(idx, v, ackedFloor); err != nil {
+						t.Errorf("seed %d: read of key %d %v", seed, idx, err)
 					}
 				default: // scan a short range
 					from := wrng.Intn(chaosKeys)
 					err := eng.Scan(ctx, chaosKey(from), 8, func(k, v []byte) bool {
-						ki, ver := decodeChaosVal(t, v)
-						if string(chaosKey(ki)) != string(k) {
-							t.Errorf("seed %d: scan saw key %q with value of key %d", seed, k, ki)
-						}
-						if hi := state.issued[ki].Load(); ver > hi || ver == 0 {
-							t.Errorf("seed %d: scan saw key %d at impossible version %d (issued %d)", seed, ki, ver, hi)
+						ki, _, err := decodeVersionVal(v)
+						if err != nil || string(chaosKey(ki)) != string(k) {
+							t.Errorf("seed %d: scan saw key %q with value %x", seed, k, v)
+						} else if err := state.checkVersion(ki, v, 1); err != nil {
+							t.Errorf("seed %d: scan of key %d %v", seed, ki, err)
 						}
 						return true
 					})
@@ -417,14 +391,7 @@ func runChaos(t *testing.T, variant chaosVariant, seed int64, overload, mirrored
 	}
 	close(start)
 
-	// Watchdog: overload must shed, never deadlock.
-	doneCh := make(chan struct{})
-	go func() { wg.Wait(); close(doneCh) }()
-	select {
-	case <-doneCh:
-	case <-time.After(chaosWatchdog):
-		t.Fatalf("seed %d: chaos run deadlocked (workers still blocked after %v)", seed, chaosWatchdog)
-	}
+	wg.Wait()
 	close(stopCkpt)
 	ckptWG.Wait()
 	close(stopNarr)
@@ -489,8 +456,8 @@ func runChaos(t *testing.T, variant chaosVariant, seed int64, overload, mirrored
 				t.Errorf("seed %d: key %d acked v%d but live Get = %v, %v", seed, idx, acked, ok, err)
 				continue
 			}
-			if _, ver := decodeChaosVal(t, v); ver < acked {
-				t.Errorf("seed %d: key %d live version %d < acked %d", seed, idx, ver, acked)
+			if err := state.checkVersion(idx, v, acked); err != nil {
+				t.Errorf("seed %d: live key %d %v", seed, idx, err)
 			}
 		}
 		return
@@ -524,77 +491,44 @@ func runChaos(t *testing.T, variant chaosVariant, seed int64, overload, mirrored
 			}
 			continue
 		}
-		ki, ver := decodeChaosVal(t, v)
-		if ki != idx {
-			t.Errorf("seed %d: recovered key %d holds value of key %d", seed, idx, ki)
-		}
-		if ver < floor {
-			t.Errorf("seed %d: key %d recovered at v%d, below checkpoint floor v%d", seed, idx, ver, floor)
-		}
-		if hi := state.issued[idx].Load(); ver > hi {
-			t.Errorf("seed %d: key %d recovered at v%d, but only v%d was issued", seed, idx, ver, hi)
+		if err := state.checkVersion(idx, v, floor); err != nil {
+			t.Errorf("seed %d: recovered key %d %v (checkpoint floor v%d)", seed, idx, err, floor)
 		}
 	}
 }
 
-func chaosSeeds(t *testing.T, base int64) []int64 {
-	n := 25
-	if testing.Short() {
-		n = 4
+// chaosSweep runs n seeds from first (short under -short); the sweeps
+// have no soak count, so -full leaves them at n.
+func chaosSweep(first int64, n, short int) sweep {
+	return sweep{
+		first: first, n: n, short: short, watchdog: chaosWatchdog,
+		name: func(seed int64) string { return fmt.Sprintf("seed%d", seed) },
 	}
-	seeds := make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		seeds = append(seeds, base+int64(i))
-	}
-	return seeds
 }
 
 func TestChaosBwTree(t *testing.T) {
-	for _, seed := range chaosSeeds(t, 1) {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runChaos(t, bwtreeChaosVariant(), seed, seed%3 == 0, false)
-		})
-	}
+	chaosSweep(1, 25, 4).run(t, func(t *testing.T, seed int64) {
+		runChaos(t, bwtreeChaosVariant(), seed, seed%3 == 0, false)
+	})
 }
 
 func TestChaosLSM(t *testing.T) {
-	for _, seed := range chaosSeeds(t, 101) {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runChaos(t, lsmChaosVariant(), seed, seed%3 == 0, false)
-		})
-	}
+	chaosSweep(101, 25, 4).run(t, func(t *testing.T, seed int64) {
+		runChaos(t, lsmChaosVariant(), seed, seed%3 == 0, false)
+	})
 }
 
-// mirrorChaosSeeds is smaller than chaosSeeds: each mirrored run carries
-// doubled device traffic plus a hot background scrubber.
-func mirrorChaosSeeds(t *testing.T, base int64) []int64 {
-	n := 8
-	if testing.Short() {
-		n = 2
-	}
-	seeds := make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		seeds = append(seeds, base+int64(i))
-	}
-	return seeds
-}
+// The mirrored sweeps run fewer seeds: each mirrored run carries doubled
+// device traffic plus a hot background scrubber.
 
 func TestChaosMirroredBwTree(t *testing.T) {
-	for _, seed := range mirrorChaosSeeds(t, 201) {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runChaos(t, bwtreeChaosVariant(), seed, seed%3 == 0, true)
-		})
-	}
+	chaosSweep(201, 8, 2).run(t, func(t *testing.T, seed int64) {
+		runChaos(t, bwtreeChaosVariant(), seed, seed%3 == 0, true)
+	})
 }
 
 func TestChaosMirroredLSM(t *testing.T) {
-	for _, seed := range mirrorChaosSeeds(t, 301) {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runChaos(t, lsmChaosVariant(), seed, seed%3 == 0, true)
-		})
-	}
+	chaosSweep(301, 8, 2).run(t, func(t *testing.T, seed int64) {
+		runChaos(t, lsmChaosVariant(), seed, seed%3 == 0, true)
+	})
 }

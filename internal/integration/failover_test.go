@@ -1,52 +1,17 @@
 package integration
 
 import (
-	"bytes"
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	"costperf/internal/fault"
-	"costperf/internal/masstree"
 	"costperf/internal/repl"
+	"costperf/internal/shard"
 	"costperf/internal/ssd"
 )
-
-// failoverFull runs the full 100-seed soak (scripts/check.sh sets it under
-// the CHECK_FAILOVER=1 gate); the default keeps tier-1 runs quick.
-var failoverFull = flag.Bool("failover.full", false, "run the full 100-seed failover soak")
-
-// mtDC adapts the main-memory MassTree to tc.DataComponent (+ Scanner),
-// so both replicas of the cluster run a real index as their data
-// component and the chaos sweep's oracle uses the same structure.
-type mtDC struct{ t *masstree.Tree }
-
-func newMtDC() *mtDC { return &mtDC{t: masstree.New(nil)} }
-
-func (d *mtDC) Get(key []byte) ([]byte, bool, error) {
-	v, ok := d.t.Get(key)
-	return v, ok, nil
-}
-func (d *mtDC) BlindWrite(key, val []byte) error { d.t.Put(key, val); return nil }
-func (d *mtDC) Delete(key []byte) error          { d.t.Delete(key); return nil }
-func (d *mtDC) Scan(start []byte, limit int, fn func(key, val []byte) bool) error {
-	d.t.Scan(start, limit, fn)
-	return nil
-}
-
-// dump materializes a MassTree's full contents for byte-wise comparison.
-func (d *mtDC) dump() map[string][]byte {
-	out := map[string][]byte{}
-	d.t.Scan(nil, 0, func(k, v []byte) bool {
-		out[string(k)] = append([]byte(nil), v...)
-		return true
-	})
-	return out
-}
 
 // failoverMode selects what kind of disaster a seed runs into.
 type failoverMode int
@@ -78,27 +43,19 @@ func (m failoverMode) String() string {
 //   - the demoted primary's commits are fenced by the epoch gate,
 //   - the standby's applied LSN converged to the primary's durable LSN
 //     (when the primary's log survived to be compared against), and
-//   - PITR to a checkpoint recorded mid-run is byte-identical against a
-//     MassTree oracle snapshotted at the same moment.
+//   - PITR to a checkpoint recorded mid-run is byte-identical against the
+//     acked-state oracle snapshotted at the same moment.
 //
 // CHECK_FAILOVER=1 in scripts/check.sh runs the full 100 seeds under
 // -race; plain `go test` runs a 12-seed slice (3 in -short).
 func TestFailoverChaosSweep(t *testing.T) {
-	seeds := 12
-	if testing.Short() {
-		seeds = 3
-	}
-	if *failoverFull {
-		seeds = 100
-	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		seed := seed
-		mode := failoverMode(seed % int64(failoverModes))
-		t.Run(fmt.Sprintf("seed%03d-%s", seed, mode), func(t *testing.T) {
-			t.Parallel()
-			runFailoverSeed(t, seed, mode)
-		})
-	}
+	mode := func(seed int64) failoverMode { return failoverMode(seed % int64(failoverModes)) }
+	sweep{
+		first: 1, n: 12, short: 3, soak: 100, parallel: true,
+		name: func(seed int64) string { return fmt.Sprintf("seed%03d-%s", seed, mode(seed)) },
+	}.run(t, func(t *testing.T, seed int64) {
+		runFailoverSeed(t, seed, mode(seed))
+	})
 }
 
 func runFailoverSeed(t *testing.T, seed int64, mode failoverMode) {
@@ -107,15 +64,14 @@ func runFailoverSeed(t *testing.T, seed int64, mode failoverMode) {
 	// Lossy from the start: up to ~8% drops, duplicates, and reorders.
 	net.SetRates(0.08*rng.Float64(), 0.08*rng.Float64(), 0.08*rng.Float64())
 
-	primaryDC, standbyDC := newMtDC(), newMtDC()
 	primaryLog := ssd.New(ssd.Config{Name: "plog", MaxIOPS: 1e6, LatencySec: 1e-6})
 	standbyLog := ssd.New(ssd.Config{Name: "slog", MaxIOPS: 1e6, LatencySec: 1e-6})
 	inj := fault.NewInjector(seed)
 	primaryLog.SetFaultInjector(inj)
 
 	cluster, err := repl.NewCluster(repl.ClusterConfig{
-		PrimaryDC: primaryDC, PrimaryLog: primaryLog,
-		StandbyDC: standbyDC, StandbyLog: standbyLog,
+		PrimaryDC: shard.NewMassDC(), PrimaryLog: primaryLog,
+		StandbyDC: shard.NewMassDC(), StandbyLog: standbyLog,
 		Net:          net,
 		CommitWait:   5 * time.Second,
 		AutoFailover: true,
@@ -133,7 +89,7 @@ func runFailoverSeed(t *testing.T, seed int64, mode failoverMode) {
 	defer cluster.Close()
 
 	ctx := context.Background()
-	oracle := newMtDC() // records ONLY acknowledged writes
+	oracle := newAckedOracle()
 	key := func(i int) []byte { return []byte(fmt.Sprintf("s%03d-k%04d", seed, i)) }
 
 	write := func(i int) {
@@ -143,7 +99,7 @@ func runFailoverSeed(t *testing.T, seed int64, mode failoverMode) {
 			v[j] = byte(rng.Intn(256))
 		}
 		if err := cluster.Put(ctx, key(i), v); err == nil {
-			oracle.t.Put(key(i), v)
+			oracle.ack(key(i), v)
 		}
 	}
 
@@ -160,7 +116,7 @@ func runFailoverSeed(t *testing.T, seed int64, mode failoverMode) {
 	// Checkpoint: the writer is quiesced (we are it), so the standby's
 	// applied state equals the acked oracle right now.
 	ck := cluster.Standby().MarkCheckpoint()
-	pitrOracle := oracle.dump()
+	pitrOracle := oracle.snapshot()
 
 	// Phase 2: overwrite and churn past the checkpoint.
 	for i := 0; i < 30+rng.Intn(30); i++ {
@@ -205,12 +161,7 @@ func runFailoverSeed(t *testing.T, seed int64, mode failoverMode) {
 	}
 
 	// Stale-primary writes are fenced by the epoch gate.
-	if tx, err := oldPrimary.Begin(); err == nil {
-		tx.Write([]byte("zombie"), []byte("write"))
-		if err := tx.Commit(); !errors.Is(err, repl.ErrFenced) {
-			t.Fatalf("stale-primary commit = %v, want ErrFenced", err)
-		}
-	}
+	checkFenced(t, "stale primary", oldPrimary, repl.ErrFenced)
 
 	// Convergence: when the old primary's log survived intact and the link
 	// was up for the drain, the standby applied everything durable.
@@ -222,15 +173,7 @@ func runFailoverSeed(t *testing.T, seed int64, mode failoverMode) {
 
 	// Zero lost acknowledged writes: every oracle key reads back identical
 	// through the promoted cluster.
-	for k, want := range oracle.dump() {
-		got, ok, err := cluster.Get(ctx, []byte(k))
-		if err != nil {
-			t.Fatalf("get %q after failover: %v", k, err)
-		}
-		if !ok || !bytes.Equal(got, want) {
-			t.Fatalf("acked write %q lost or changed after failover (ok=%v)", k, ok)
-		}
-	}
+	oracle.verifyReads(t, func(k []byte) ([]byte, bool, error) { return cluster.Get(ctx, k) })
 
 	// The promoted cluster accepts writes and remains consistent.
 	if err := cluster.Put(ctx, []byte("epilogue"), []byte("ok")); err != nil {
@@ -240,10 +183,10 @@ func runFailoverSeed(t *testing.T, seed int64, mode failoverMode) {
 		t.Fatal("write after failover not readable")
 	}
 
-	// PITR to the recorded checkpoint is byte-identical vs the MassTree
-	// oracle snapshot taken at mark time — even though the promoted TC has
+	// PITR to the recorded checkpoint is byte-identical vs the oracle
+	// snapshot taken at mark time — even though the promoted TC has
 	// continued appending to the same standby log since.
-	dst := newMtDC()
+	dst := shard.NewMassDC()
 	res, err := cluster.Standby().PITRToLSN(ck.LSN, dst)
 	if err != nil {
 		t.Fatalf("PITRToLSN(%d): %v", ck.LSN, err)
@@ -251,15 +194,7 @@ func runFailoverSeed(t *testing.T, seed int64, mode failoverMode) {
 	if res.Replay.TruncatedAt != ck.LSN {
 		t.Fatalf("PITR reconstructed to %d, want %d", res.Replay.TruncatedAt, ck.LSN)
 	}
-	got := dst.dump()
-	if len(got) != len(pitrOracle) {
-		t.Fatalf("PITR state has %d keys, oracle %d", len(got), len(pitrOracle))
-	}
-	for k, want := range pitrOracle {
-		if !bytes.Equal(got[k], want) {
-			t.Fatalf("PITR key %q = %x, oracle %x", k, got[k], want)
-		}
-	}
+	pitrOracle.verifyScan(t, func(fn func(k, v []byte) bool) error { return dst.Scan(nil, 0, fn) })
 
 	// Timestamps stayed monotonic across failover: a fresh commit on the
 	// promoted TC must postdate everything the standby applied.

@@ -2,13 +2,10 @@ package integration
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"flag"
 	"fmt"
 	"math/rand"
 	"net"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,7 +41,6 @@ import (
 //
 // CHECK_OVERLOAD=1 in scripts/check.sh runs the full 50 seeds under
 // -race; plain `go test` runs a 4-seed slice (1 in -short).
-var overloadFull = flag.Bool("overload.full", false, "run the full 50-seed overload chaos sweep")
 
 const (
 	// Store capacity: 2 slots x >=1ms per op caps throughput at 2000
@@ -89,36 +85,14 @@ const (
 )
 
 func TestOverloadChaosSweep(t *testing.T) {
-	seeds := 4
-	if testing.Short() {
-		seeds = 1
-	}
-	if *overloadFull {
-		seeds = 50
-	}
-	baseline := runtime.NumGoroutine()
-	var mu sync.Mutex
 	var ratios []float64
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%03d", seed), func(t *testing.T) {
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				ratio := runOverloadSeed(t, seed)
-				mu.Lock()
-				ratios = append(ratios, ratio)
-				mu.Unlock()
-			}()
-			select {
-			case <-done:
-			case <-time.After(ovWatchdog):
-				buf := make([]byte, 1<<20)
-				t.Fatalf("seed %d wedged past %v\n%s", seed, ovWatchdog,
-					buf[:runtime.Stack(buf, true)])
-			}
-		})
-	}
+	sweep{
+		first: 1, n: 4, short: 1, soak: 50,
+		name:     func(seed int64) string { return fmt.Sprintf("seed%03d", seed) },
+		watchdog: ovWatchdog, leakCheck: true,
+	}.run(t, func(t *testing.T, seed int64) {
+		ratios = append(ratios, runOverloadSeed(t, seed))
+	})
 	// The >=90% re-convergence claim is asserted on the median across
 	// seeds (each seed also has a hard 0.80 floor): a single seed whose
 	// measurement window caught a scheduler or compile-overlap hiccup on
@@ -130,16 +104,6 @@ func TestOverloadChaosSweep(t *testing.T) {
 			t.Errorf("median re-convergence %.2f < 0.90 across %d seeds (min %.2f)",
 				med, len(ratios), ratios[0])
 		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines leaked: %d -> %d\n%s",
-				baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		runtime.GC()
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -211,54 +175,7 @@ func (s *ovStore) Scan(ctx context.Context, start []byte, limit int, fn func(k, 
 func (s *ovStore) Health() *metrics.Health { return nil }
 func (s *ovStore) Close() error            { return nil }
 
-// ovBackend fronts the engine as the wire server's backend, keeps the
-// acked-writes ledger, and forwards the engine's retry-after hint so
-// StatusOverload responses stay advisory end to end.
-type ovBackend struct {
-	eng *engine.Engine
-
-	mu      sync.Mutex
-	applies map[string]bool
-}
-
-func (b *ovBackend) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	return b.eng.Get(ctx, key)
-}
-
-func (b *ovBackend) Put(ctx context.Context, key, val []byte) error {
-	err := b.eng.Put(ctx, key, val)
-	if err == nil {
-		b.mu.Lock()
-		b.applies[string(val)] = true
-		b.mu.Unlock()
-	}
-	return err
-}
-
-func (b *ovBackend) Delete(ctx context.Context, key []byte) error {
-	return b.eng.Delete(ctx, key)
-}
-
-func (b *ovBackend) Scan(ctx context.Context, start []byte, limit int, fn func(k, v []byte) bool) error {
-	return b.eng.Scan(ctx, start, limit, fn)
-}
-
-func (b *ovBackend) RetryAfterHint() time.Duration { return b.eng.RetryAfterHint() }
-
-func (b *ovBackend) applied(val []byte) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.applies[string(val)]
-}
-
 func ovKey(idx int) []byte { return []byte(fmt.Sprintf("ov%03d", idx)) }
-
-func ovVal(idx int, version uint64) []byte {
-	v := make([]byte, 12)
-	binary.BigEndian.PutUint32(v, uint32(idx))
-	binary.BigEndian.PutUint64(v[4:], version)
-	return v
-}
 
 // ovPhase is one phase's client-side outcome tally. highGood counts
 // successes on the high-class clients only — the storm's goodput floor
@@ -277,19 +194,17 @@ func (p *ovPhase) goodput() float64 {
 	return float64(p.good.Load()) / p.elapsed.Seconds()
 }
 
-// ovRig is one mode's full stack plus the per-writer version ledgers.
+// ovRig is one mode's full stack plus its version ledger.
 type ovRig struct {
-	store    *ovStore
+	applied  *applyLedger // over the ovStore
 	eng      *engine.Engine
-	backend  *ovBackend
 	srv      *wire.Server
 	crowdNet *fault.NetInjector
 
 	clients map[string]*wire.Client // by class name ("" = normal steady)
 	crowd   *wire.Client
 
-	issued [ovKeys]atomic.Uint64
-	acked  [ovKeys]atomic.Uint64
+	ledger *versionLedger
 }
 
 // newOvRig builds the stack. adaptive selects between the PR's closed
@@ -297,9 +212,13 @@ type ovRig struct {
 // trap (wide fixed limit, budget-less aggressive retries).
 func newOvRig(t *testing.T, seed int64, adaptive bool) *ovRig {
 	t.Helper()
-	r := &ovRig{store: newOvStore(), clients: make(map[string]*wire.Client)}
+	r := &ovRig{
+		applied: newApplyLedger(newOvStore()),
+		clients: make(map[string]*wire.Client),
+		ledger:  newVersionLedger(ovKeys),
+	}
 
-	ecfg := engine.Config{Store: r.store}
+	ecfg := engine.Config{Store: r.applied}
 	if adaptive {
 		ecfg.MaxConcurrent = 16
 		ecfg.MaxQueue = 32
@@ -324,14 +243,13 @@ func newOvRig(t *testing.T, seed int64, adaptive bool) *ovRig {
 		t.Fatalf("engine.New: %v", err)
 	}
 	r.eng = eng
-	r.backend = &ovBackend{eng: eng, applies: make(map[string]bool)}
 
 	// The per-conn frame cap sits far above both engines' admission
 	// bounds: net.Pipe is unbuffered, so a tight cap would stall frames
 	// in the client instead of letting them reach admission — the
 	// abandoned-work waste under test happens server-side or not at all.
 	srv, err := wire.NewServer(wire.ServerConfig{
-		Backend:           r.backend,
+		Backend:           eng, // forwards the engine's retry-after hint with every shed
 		MaxInFlight:       2048,
 		WriteStallTimeout: 200 * time.Millisecond,
 		DedupWindow:       4096,
@@ -400,11 +318,11 @@ func (r *ovRig) close() {
 // the ack. Single writer per key, next version only after the previous
 // settled, so acked-implies-applied reconciles exactly.
 func (r *ovRig) write(ctx context.Context, cl *wire.Client, idx int, ph *ovPhase, high bool) {
-	version := r.issued[idx].Add(1)
-	err := cl.Put(ctx, ovKey(idx), ovVal(idx, version))
+	version := r.ledger.issue(idx)
+	err := cl.Put(ctx, ovKey(idx), versionVal(idx, version))
 	ovTally(err, ph)
 	if err == nil {
-		r.acked[idx].Store(version)
+		r.ledger.ack(idx, version)
 		if high {
 			ph.highGood.Add(1)
 		}
@@ -559,13 +477,9 @@ func runOverloadSeed(t *testing.T, seed int64) float64 {
 		t.Errorf("seed %d: ladder inverted: normal shed %d with zero scan sheds", seed, shedNormal)
 	}
 
-	// Zero lost acked writes: every key's highest acked version was
-	// applied by the backend.
-	for idx := 0; idx < ovKeys; idx++ {
-		if high := r.acked[idx].Load(); high > 0 && !r.backend.applied(ovVal(idx, high)) {
-			t.Fatalf("seed %d: key %d version %d acked but never applied", seed, idx, high)
-		}
-	}
+	// Zero lost acked writes: every acked version was applied by the
+	// store.
+	r.ledger.checkApplied(t, r.applied)
 
 	// The closed loop is live: the server advised at least one client
 	// (hints only flow when something was shed server-side).

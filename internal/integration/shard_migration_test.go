@@ -1,26 +1,14 @@
 package integration
 
 import (
-	"bytes"
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"costperf/internal/engine"
 	"costperf/internal/fault"
 	"costperf/internal/shard"
-	"costperf/internal/tc"
 )
-
-// shardFull runs the full 100-seed migration soak (scripts/check.sh sets
-// it under the CHECK_SHARD=1 gate); the default keeps tier-1 runs quick.
-var shardFull = flag.Bool("shard.full", false, "run the full 100-seed shard-migration soak")
 
 // migChaos selects what a seed throws at the migration. Seeds cycle
 // through a crash at every phase boundary of the state machine, plus a
@@ -67,21 +55,12 @@ func chaosForSeed(seed int64) migChaos {
 // CHECK_SHARD=1 in scripts/check.sh runs the full 100 seeds under -race;
 // plain `go test` runs a 12-seed slice (3 in -short).
 func TestShardMigrationChaosSweep(t *testing.T) {
-	seeds := 12
-	if testing.Short() {
-		seeds = 3
-	}
-	if *shardFull {
-		seeds = 100
-	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		seed := seed
-		chaos := chaosForSeed(seed)
-		t.Run(fmt.Sprintf("seed%03d-%s", seed, chaos), func(t *testing.T) {
-			t.Parallel()
-			runShardMigrationSeed(t, seed, chaos)
-		})
-	}
+	sweep{
+		first: 1, n: 12, short: 3, soak: 100, parallel: true,
+		name: func(seed int64) string { return fmt.Sprintf("seed%03d-%s", seed, chaosForSeed(seed)) },
+	}.run(t, func(t *testing.T, seed int64) {
+		runShardMigrationSeed(t, seed, chaosForSeed(seed))
+	})
 }
 
 const migShards = 4
@@ -93,124 +72,27 @@ func runShardMigrationSeed(t *testing.T, seed int64, chaos migChaos) {
 		t.Fatalf("shard.New: %v", err)
 	}
 	defer r.Close()
-	ctx := context.Background()
 
-	// oracle records only acknowledged state: preloaded keys plus every
-	// write the router returned nil for. The final store must equal it.
-	oracle := map[string][]byte{}
-	var omu sync.Mutex
-	for i := 0; i < 200; i++ {
-		k, v := []byte(fmt.Sprintf("init%04d", i)), []byte(fmt.Sprintf("seed%d-v%d", seed, i))
-		if err := r.Put(ctx, k, v); err != nil {
-			t.Fatalf("preload: %v", err)
-		}
-		oracle[string(k)] = v
-	}
+	oracle := newAckedOracle()
+	preload(t, seed, r.Put, oracle)
 
+	// Writers may fail only on keys that route to the moving shard.
 	moving := int(seed) % migShards
-
-	// Writers own disjoint key slices and write monotonically increasing
-	// versions. A write may fail only with the fenced-owner family — and
-	// only when its key routes to the moving shard; those writes are
-	// guaranteed un-committed (the commit gate rejects before the log
-	// append), so the oracle simply keeps the previous acked version.
-	const writers = 3
-	var (
-		stop atomic.Bool
-		wg   sync.WaitGroup
-	)
-	errCh := make(chan error, writers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wrng := rand.New(rand.NewSource(seed*1000 + int64(w)))
-			for version := 0; !stop.Load(); version++ {
-				key := []byte(fmt.Sprintf("w%d-k%02d", w, wrng.Intn(40)))
-				val := []byte(fmt.Sprintf("w%d-s%d-v%06d", w, seed, version))
-				err := r.Put(ctx, key, val)
-				if err == nil {
-					omu.Lock()
-					oracle[string(key)] = val
-					omu.Unlock()
-					continue
-				}
-				if !errors.Is(err, shard.ErrMoved) && !errors.Is(err, engine.ErrClosed) && !errors.Is(err, tc.ErrClosed) {
-					errCh <- fmt.Errorf("writer %d key %s: unexpected error %w", w, key, err)
-					return
-				}
-				if shard.SlotOf(key, migShards) != moving {
-					errCh <- fmt.Errorf("writer %d: error %v on non-moving shard %d", w, err, shard.SlotOf(key, migShards))
-					return
-				}
-			}
-		}(w)
-	}
+	writers := startWriters(seed, r.Put, oracle, func(key []byte) bool {
+		return shard.SlotOf(key, migShards) == moving
+	})
 
 	// The migration link is lossy for every seed and partitions in
 	// bounded episodes while the move is in flight.
 	link := fault.NewNetInjector(seed)
 	link.SetRates(0.05*rng.Float64(), 0.05*rng.Float64(), 0.05*rng.Float64())
-	var crashed atomic.Bool
-	errCrash := errors.New("injected crash")
-	m, err := r.Migrate(shard.MigrateConfig{
-		Shard: moving,
-		Net:   link,
-		OnPhase: func(ph shard.Phase) error {
-			if chaos.crashAt >= 0 && ph == chaos.crashAt && !crashed.Swap(true) {
-				return errCrash
-			}
-			return nil
-		},
-	})
+	crash := &phaseCrash{at: chaos.crashAt}
+	m, err := r.Migrate(shard.MigrateConfig{Shard: moving, Net: link, OnPhase: crash.onPhase})
 	if err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
-
-	partDone := make(chan struct{})
-	go func() {
-		defer close(partDone)
-		// Time-bounded episodes with explicit heals: a message-count
-		// budget alone can wedge the link forever, because refused
-		// dials do not consume it.
-		prng := rand.New(rand.NewSource(seed ^ 0x5eed))
-		for !m.Done() {
-			time.Sleep(time.Duration(1+prng.Intn(3)) * time.Millisecond)
-			link.Partition()
-			time.Sleep(time.Duration(1+prng.Intn(2)) * time.Millisecond)
-			link.Heal()
-		}
-		link.Heal()
-	}()
-
-	// Drive the migration to completion through the injected crash and
-	// any partition-refused dials; each Run resumes the state machine.
-	var lastErr error
-	for attempt := 0; attempt < 200 && !m.Done(); attempt++ {
-		lastErr = m.Run(ctx)
-		if lastErr != nil {
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	if !m.Done() {
-		t.Fatalf("migration never completed; last error: %v", lastErr)
-	}
-	<-partDone
-	if chaos.crashAt >= 0 && !crashed.Load() {
-		t.Fatalf("crash at %v never fired", chaos.crashAt)
-	}
-
-	// Let the writers land a few post-cutover versions, then stop them.
-	time.Sleep(5 * time.Millisecond)
-	stop.Store(true)
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
-	}
-	if t.Failed() {
-		t.FailNow()
-	}
+	driveCutover(t, seed, "migration", link, crash, m.Run, m.Done)
+	writers.finish(t)
 
 	if got := r.MapEpoch(); got != 1 {
 		t.Fatalf("map epoch = %d, want 1", got)
@@ -220,52 +102,12 @@ func runShardMigrationSeed(t *testing.T, seed int64, chaos migChaos) {
 	}
 
 	// The stale owner is fenced: its TC rejects commits forever.
-	tx, err := m.SourceTC().Begin()
-	if err != nil {
-		t.Fatalf("begin on fenced source: %v", err)
-	}
-	if err := tx.Write([]byte("zombie"), []byte("write")); err != nil {
-		t.Fatalf("stage write on fenced source: %v", err)
-	}
-	if err := tx.Commit(); !errors.Is(err, shard.ErrMoved) {
-		t.Fatalf("commit on fenced source = %v, want ErrMoved", err)
-	}
+	checkFenced(t, "source", m.SourceTC(), shard.ErrMoved)
 
-	// Zero lost acked writes: every acknowledged key reads back
-	// byte-identical through the router.
-	omu.Lock()
-	defer omu.Unlock()
-	for k, want := range oracle {
-		got, ok, err := r.Get(ctx, []byte(k))
-		if err != nil || !ok {
-			t.Fatalf("acked key %s unreadable after migration: ok=%v err=%v", k, ok, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("acked key %s = %q, want %q", k, got, want)
-		}
-	}
-
-	// Exactly-once application: the full scatter-gather dump matches the
-	// oracle exactly — nothing extra, nothing stale, globally ordered.
-	dump := map[string][]byte{}
-	var prev []byte
-	err = r.Scan(ctx, nil, 0, func(k, v []byte) bool {
-		if prev != nil && bytes.Compare(prev, k) >= 0 {
-			t.Errorf("scan order violated: %q then %q", prev, k)
-		}
-		prev = append(prev[:0], k...)
-		dump[string(k)] = append([]byte(nil), v...)
-		return true
-	})
-	if err != nil {
-		t.Fatalf("full scan after migration: %v", err)
-	}
-	if len(dump) != len(oracle) {
-		t.Fatalf("store holds %d keys, oracle %d", len(dump), len(oracle))
-	}
-	for k, want := range oracle {
-		if !bytes.Equal(dump[k], want) {
-			t.Fatalf("dumped key %s = %q, want %q", k, dump[k], want)
-		}
-	}
+	// Zero lost acked writes, and exactly-once application: the full
+	// scatter-gather scan equals the oracle, with no duplicated or
+	// resurrected versions surviving the blind-redo resumes.
+	ctx := context.Background()
+	oracle.verifyReads(t, func(k []byte) ([]byte, bool, error) { return r.Get(ctx, k) })
+	oracle.verifyScan(t, func(fn func(k, v []byte) bool) error { return r.Scan(ctx, nil, 0, fn) })
 }

@@ -1,26 +1,14 @@
 package integration
 
 import (
-	"bytes"
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"costperf/internal/engine"
 	"costperf/internal/fault"
 	"costperf/internal/shard"
-	"costperf/internal/tc"
 )
-
-// resizeFull runs the full 100-seed resize soak (scripts/check.sh sets
-// it under the CHECK_RESIZE=1 gate); the default keeps tier-1 runs quick.
-var resizeFull = flag.Bool("resize.full", false, "run the full 100-seed shard-resize soak")
 
 // resizeChaos selects what a seed throws at the resize arc. Each run is
 // a split followed by a merge of the children; a seed crashes one of the
@@ -78,40 +66,15 @@ func resizeChaosForSeed(seed int64) resizeChaos {
 // CHECK_RESIZE=1 in scripts/check.sh runs the full 100 seeds under
 // -race; plain `go test` runs an 11-seed slice (3 in -short).
 func TestShardResizeChaosSweep(t *testing.T) {
-	seeds := 11
-	if testing.Short() {
-		seeds = 3
-	}
-	if *resizeFull {
-		seeds = 100
-	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		seed := seed
-		chaos := resizeChaosForSeed(seed)
-		t.Run(fmt.Sprintf("seed%03d-%s", seed, chaos), func(t *testing.T) {
-			t.Parallel()
-			runShardResizeSeed(t, seed, chaos)
-		})
-	}
+	sweep{
+		first: 1, n: 11, short: 3, soak: 100, parallel: true,
+		name: func(seed int64) string { return fmt.Sprintf("seed%03d-%s", seed, resizeChaosForSeed(seed)) },
+	}.run(t, func(t *testing.T, seed int64) {
+		runShardResizeSeed(t, seed, resizeChaosForSeed(seed))
+	})
 }
 
 const resizeShards = 4
-
-// driveResize pushes one resumable resize state machine to completion
-// through injected crashes and partition-refused dials.
-func driveResize(t *testing.T, ctx context.Context, label string,
-	run func(context.Context) error, done func() bool) {
-	t.Helper()
-	var lastErr error
-	for attempt := 0; attempt < 200 && !done(); attempt++ {
-		if lastErr = run(ctx); lastErr != nil {
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	if !done() {
-		t.Fatalf("%s never completed; last error: %v", label, lastErr)
-	}
-}
 
 func runShardResizeSeed(t *testing.T, seed int64, chaos resizeChaos) {
 	rng := rand.New(rand.NewSource(seed))
@@ -120,18 +83,9 @@ func runShardResizeSeed(t *testing.T, seed int64, chaos resizeChaos) {
 		t.Fatalf("shard.New: %v", err)
 	}
 	defer r.Close()
-	ctx := context.Background()
 
-	// oracle records only acknowledged state.
-	oracle := map[string][]byte{}
-	var omu sync.Mutex
-	for i := 0; i < 200; i++ {
-		k, v := []byte(fmt.Sprintf("init%04d", i)), []byte(fmt.Sprintf("seed%d-v%d", seed, i))
-		if err := r.Put(ctx, k, v); err != nil {
-			t.Fatalf("preload: %v", err)
-		}
-		oracle[string(k)] = v
-	}
+	oracle := newAckedOracle()
+	preload(t, seed, r.Put, oracle)
 
 	// The resizing range: the source shard's slice of the hash space.
 	// The split moves exactly this range to the children and the merge
@@ -147,85 +101,23 @@ func runShardResizeSeed(t *testing.T, seed int64, chaos resizeChaos) {
 	}
 	lo, hi := before.Range(srcIdx)
 
-	// Writers own disjoint key slices and write monotonically increasing
-	// versions. A write may fail only with the fenced-owner family — and
-	// only when its key hashes into the resizing range; those writes are
-	// guaranteed un-committed, so the oracle keeps the prior version.
-	const writers = 3
-	var (
-		stop atomic.Bool
-		wg   sync.WaitGroup
-	)
-	errCh := make(chan error, writers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wrng := rand.New(rand.NewSource(seed*1000 + int64(w)))
-			for version := 0; !stop.Load(); version++ {
-				key := []byte(fmt.Sprintf("w%d-k%02d", w, wrng.Intn(40)))
-				val := []byte(fmt.Sprintf("w%d-s%d-v%06d", w, seed, version))
-				err := r.Put(ctx, key, val)
-				if err == nil {
-					omu.Lock()
-					oracle[string(key)] = val
-					omu.Unlock()
-					continue
-				}
-				if !errors.Is(err, shard.ErrMoved) && !errors.Is(err, engine.ErrClosed) && !errors.Is(err, tc.ErrClosed) {
-					errCh <- fmt.Errorf("writer %d key %s: unexpected error %w", w, key, err)
-					return
-				}
-				if !shard.InRange(shard.Hash(key), lo, hi) {
-					errCh <- fmt.Errorf("writer %d: error %v on key %s outside the resizing range", w, err, key)
-					return
-				}
-			}
-		}(w)
-	}
+	// Writers may fail only on keys that hash into the resizing range.
+	writers := startWriters(seed, r.Put, oracle, func(key []byte) bool {
+		return shard.InRange(shard.Hash(key), lo, hi)
+	})
 
 	// Every seed streams over a lossy link that partitions in bounded,
 	// healed episodes while either state machine is in flight.
 	link := fault.NewNetInjector(seed)
 	link.SetRates(0.05*rng.Float64(), 0.05*rng.Float64(), 0.05*rng.Float64())
-	errCrash := errors.New("injected crash")
-	partition := func(done func() bool) <-chan struct{} {
-		ch := make(chan struct{})
-		go func() {
-			defer close(ch)
-			prng := rand.New(rand.NewSource(seed ^ 0x5eed))
-			for !done() {
-				time.Sleep(time.Duration(1+prng.Intn(3)) * time.Millisecond)
-				link.Partition()
-				time.Sleep(time.Duration(1+prng.Intn(2)) * time.Millisecond)
-				link.Heal()
-			}
-			link.Heal()
-		}()
-		return ch
-	}
 
 	// ---- Split, crashed and resumed blind. ----
-	var splitCrashed atomic.Bool
-	s, err := r.Split(shard.SplitConfig{
-		Shard: srcSlot,
-		Net:   link,
-		OnPhase: func(ph shard.Phase) error {
-			if chaos.splitCrash >= 0 && ph == chaos.splitCrash && !splitCrashed.Swap(true) {
-				return errCrash
-			}
-			return nil
-		},
-	})
+	splitCrash := &phaseCrash{at: chaos.splitCrash}
+	s, err := r.Split(shard.SplitConfig{Shard: srcSlot, Net: link, OnPhase: splitCrash.onPhase})
 	if err != nil {
 		t.Fatalf("split: %v", err)
 	}
-	partDone := partition(s.Done)
-	driveResize(t, ctx, "split", s.Run, s.Done)
-	<-partDone
-	if chaos.splitCrash >= 0 && !splitCrashed.Load() {
-		t.Fatalf("split crash at %v never fired", chaos.splitCrash)
-	}
+	driveCutover(t, seed, "split", link, splitCrash, s.Run, s.Done)
 	low, high := s.Slots()
 
 	// Bounded movement: between the epoch-0 and epoch-1 maps, a hash
@@ -244,39 +136,13 @@ func runShardResizeSeed(t *testing.T, seed int64, chaos resizeChaos) {
 	}
 
 	// ---- Merge the children back, crashed and resumed blind. ----
-	var mergeCrashed atomic.Bool
-	m, err := r.Merge(shard.MergeConfig{
-		Left:  low,
-		Right: high,
-		Net:   link,
-		OnPhase: func(ph shard.Phase) error {
-			if chaos.mergeCrash >= 0 && ph == chaos.mergeCrash && !mergeCrashed.Swap(true) {
-				return errCrash
-			}
-			return nil
-		},
-	})
+	mergeCrash := &phaseCrash{at: chaos.mergeCrash}
+	m, err := r.Merge(shard.MergeConfig{Left: low, Right: high, Net: link, OnPhase: mergeCrash.onPhase})
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	partDone = partition(m.Done)
-	driveResize(t, ctx, "merge", m.Run, m.Done)
-	<-partDone
-	if chaos.mergeCrash >= 0 && !mergeCrashed.Load() {
-		t.Fatalf("merge crash at %v never fired", chaos.mergeCrash)
-	}
-
-	// Let the writers land a few post-resize versions, then stop them.
-	time.Sleep(5 * time.Millisecond)
-	stop.Store(true)
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
-	}
-	if t.Failed() {
-		t.FailNow()
-	}
+	driveCutover(t, seed, "merge", link, mergeCrash, m.Run, m.Done)
+	writers.finish(t)
 
 	if got := r.MapEpoch(); got != 2 {
 		t.Fatalf("map epoch = %d, want 2", got)
@@ -294,56 +160,13 @@ func runShardResizeSeed(t *testing.T, seed int64, chaos resizeChaos) {
 	// Every stale owner is fenced forever: the split source and both
 	// merge sources reject commits with ErrMoved.
 	lt, rt := m.SourceTCs()
-	for name, src := range map[string]*tc.TC{
-		"split-source": s.SourceTC(), "merge-left": lt, "merge-right": rt,
-	} {
-		tx, err := src.Begin()
-		if err != nil {
-			t.Fatalf("begin on fenced %s: %v", name, err)
-		}
-		if err := tx.Write([]byte("zombie"), []byte("write")); err != nil {
-			t.Fatalf("stage write on fenced %s: %v", name, err)
-		}
-		if err := tx.Commit(); !errors.Is(err, shard.ErrMoved) {
-			t.Fatalf("commit on fenced %s = %v, want ErrMoved", name, err)
-		}
-	}
+	checkFenced(t, "split-source", s.SourceTC(), shard.ErrMoved)
+	checkFenced(t, "merge-left", lt, shard.ErrMoved)
+	checkFenced(t, "merge-right", rt, shard.ErrMoved)
 
-	// Zero lost acked writes: every acknowledged key reads back
-	// byte-identical through the router.
-	omu.Lock()
-	defer omu.Unlock()
-	for k, want := range oracle {
-		got, ok, err := r.Get(ctx, []byte(k))
-		if err != nil || !ok {
-			t.Fatalf("acked key %s unreadable after resize: ok=%v err=%v", k, ok, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("acked key %s = %q, want %q", k, got, want)
-		}
-	}
-
-	// Exactly-once application: the full scatter-gather dump matches the
-	// oracle exactly — nothing extra, nothing stale, globally ordered.
-	dump := map[string][]byte{}
-	var prev []byte
-	err = r.Scan(ctx, nil, 0, func(k, v []byte) bool {
-		if prev != nil && bytes.Compare(prev, k) >= 0 {
-			t.Errorf("scan order violated: %q then %q", prev, k)
-		}
-		prev = append(prev[:0], k...)
-		dump[string(k)] = append([]byte(nil), v...)
-		return true
-	})
-	if err != nil {
-		t.Fatalf("full scan after resize: %v", err)
-	}
-	if len(dump) != len(oracle) {
-		t.Fatalf("store holds %d keys, oracle %d", len(dump), len(oracle))
-	}
-	for k, want := range oracle {
-		if !bytes.Equal(dump[k], want) {
-			t.Fatalf("dumped key %s = %q, want %q", k, dump[k], want)
-		}
-	}
+	// Zero lost acked writes, and exactly-once application: the full
+	// scatter-gather scan equals the oracle in global order.
+	ctx := context.Background()
+	oracle.verifyReads(t, func(k []byte) ([]byte, bool, error) { return r.Get(ctx, k) })
+	oracle.verifyScan(t, func(fn func(k, v []byte) bool) error { return r.Scan(ctx, nil, 0, fn) })
 }

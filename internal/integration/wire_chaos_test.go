@@ -2,12 +2,9 @@ package integration
 
 import (
 	"context"
-	"encoding/binary"
-	"flag"
 	"fmt"
 	"math/rand"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,7 +23,7 @@ import (
 // mid-run a partition eats a burst of requests and triggers a retry storm.
 // Invariants checked per seed:
 //
-//   - Exactly-once writes: every (key, version) the backend applied was
+//   - Exactly-once writes: every (key, version) the store applied was
 //     applied exactly once, even though clients retried through drops,
 //     partitions, and evicted connections — the server's dedup window
 //     absorbs the duplicates.
@@ -43,7 +40,6 @@ import (
 //
 // CHECK_WIRE=1 in scripts/check.sh runs the full 50 seeds under -race;
 // plain `go test` runs a 10-seed slice (3 in -short).
-var wireFull = flag.Bool("wire.full", false, "run the full 50-seed wire chaos sweep")
 
 const (
 	wireChaosKeys      = 24
@@ -54,93 +50,14 @@ const (
 )
 
 func TestWireChaosSweep(t *testing.T) {
-	seeds := 10
-	if testing.Short() {
-		seeds = 3
-	}
-	if *wireFull {
-		seeds = 50
-	}
-	baseline := runtime.NumGoroutine()
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%03d", seed), func(t *testing.T) {
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				runWireChaosSeed(t, seed)
-			}()
-			select {
-			case <-done:
-			case <-time.After(wireChaosWatchdog):
-				buf := make([]byte, 1<<20)
-				t.Fatalf("seed %d wedged past %v\n%s", seed, wireChaosWatchdog,
-					buf[:runtime.Stack(buf, true)])
-			}
-		})
-	}
-	// The whole sweep must leak nothing: every server Close waits for its
-	// goroutines, every client Close fails its pendings and joins its
-	// receiver.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines leaked: %d -> %d\n%s",
-				baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		runtime.GC()
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// wireCounting wraps the engine as the server's backend and counts
-// successful applies per exact value, which encodes (key index, version) —
-// the ledger the exactly-once assertion reconciles against.
-type wireCounting struct {
-	eng *engine.Engine
-
-	mu      sync.Mutex
-	applies map[string]int
-}
-
-func (b *wireCounting) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
-	return b.eng.Get(ctx, key)
-}
-
-func (b *wireCounting) Put(ctx context.Context, key, val []byte) error {
-	err := b.eng.Put(ctx, key, val)
-	if err == nil {
-		b.mu.Lock()
-		b.applies[string(val)]++
-		b.mu.Unlock()
-	}
-	return err
-}
-
-func (b *wireCounting) Delete(ctx context.Context, key []byte) error {
-	return b.eng.Delete(ctx, key)
-}
-
-func (b *wireCounting) Scan(ctx context.Context, start []byte, limit int, fn func(k, v []byte) bool) error {
-	return b.eng.Scan(ctx, start, limit, fn)
+	sweep{
+		first: 1, n: 10, short: 3, soak: 50,
+		name:     func(seed int64) string { return fmt.Sprintf("seed%03d", seed) },
+		watchdog: wireChaosWatchdog, leakCheck: true,
+	}.run(t, runWireChaosSeed)
 }
 
 func wireKey(idx int) []byte { return []byte(fmt.Sprintf("w%04d", idx)) }
-
-func wireVal(idx int, version uint64) []byte {
-	v := make([]byte, 12)
-	binary.BigEndian.PutUint32(v, uint32(idx))
-	binary.BigEndian.PutUint64(v[4:], version)
-	return v
-}
-
-func decodeWireVal(v []byte) (idx int, version uint64, ok bool) {
-	if len(v) != 12 {
-		return 0, 0, false
-	}
-	return int(binary.BigEndian.Uint32(v)), binary.BigEndian.Uint64(v[4:]), true
-}
 
 func runWireChaosSeed(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
@@ -148,18 +65,20 @@ func runWireChaosSeed(t *testing.T, seed int64) {
 	// Engine over MassTree, tight enough that pipelined load queues and
 	// occasionally sheds — overload must cross the wire typed, not wedge.
 	tree := masstree.New(nil)
+	applied := newApplyLedger(engine.WrapMassTree(tree))
 	eng, err := engine.New(engine.Config{
-		Store:         engine.WrapMassTree(tree),
+		Store:         applied,
 		MaxConcurrent: 4,
 		MaxQueue:      8,
 	})
 	if err != nil {
 		t.Fatalf("engine.New: %v", err)
 	}
-	backend := &wireCounting{eng: eng, applies: make(map[string]int)}
 
 	srv, err := wire.NewServer(wire.ServerConfig{
-		Backend:           backend,
+		// Only wire.Backend's methods: this server sends overload
+		// responses without the engine's retry-after hint.
+		Backend:           struct{ wire.Backend }{eng},
 		MaxInFlight:       8,
 		WriteStallTimeout: 100 * time.Millisecond,
 		DedupWindow:       4096,
@@ -202,16 +121,13 @@ func runWireChaosSeed(t *testing.T, seed int64) {
 	}
 	writerCl, readerCl := newClient(0), newClient(1)
 
-	var (
-		issued [wireChaosKeys]atomic.Uint64 // highest version handed to a Put
-		acked  [wireChaosKeys]atomic.Uint64 // highest version whose Put acked
-		// dirty marks keys where some Put failed client-side: the outcome is
-		// unknown and a late in-flight frame may still apply after newer
-		// writes (the store is last-writer-wins), so ordering assertions
-		// weaken to bounds for those keys. Acked⇒applied and exactly-once
-		// hold regardless.
-		dirty [wireChaosKeys]atomic.Bool
-	)
+	ledger := newVersionLedger(wireChaosKeys)
+	// dirty marks keys where some Put failed client-side: the outcome is
+	// unknown and a late in-flight frame may still apply after newer
+	// writes (the store is last-writer-wins), so ordering assertions
+	// weaken to bounds for those keys. Acked⇒applied and exactly-once
+	// hold regardless.
+	var dirty [wireChaosKeys]atomic.Bool
 	ctx := context.Background()
 	var wg sync.WaitGroup
 
@@ -234,11 +150,11 @@ func runWireChaosSeed(t *testing.T, seed int64) {
 					reqInj.PartitionFor(int64(20 + wrng.Intn(20)))
 				}
 				idx := lo + wrng.Intn(keysPerWriter)
-				version := issued[idx].Add(1)
+				version := ledger.issue(idx)
 				// One writer per key and issue-after-settle: acked moves in
 				// version order, so a plain store is safe.
-				if err := writerCl.Put(ctx, wireKey(idx), wireVal(idx, version)); err == nil {
-					acked[idx].Store(version)
+				if err := writerCl.Put(ctx, wireKey(idx), versionVal(idx, version)); err == nil {
+					ledger.ack(idx, version)
 				} else {
 					dirty[idx].Store(true)
 				}
@@ -255,22 +171,16 @@ func runWireChaosSeed(t *testing.T, seed int64) {
 			rrng := rand.New(rand.NewSource(seed*2000 + int64(r)))
 			for op := 0; op < wireChaosOpsPerWkr; op++ {
 				idx := rrng.Intn(wireChaosKeys)
-				floor := acked[idx].Load()
+				floor := ledger.acked[idx].Load()
 				v, ok, err := readerCl.Get(ctx, wireKey(idx))
 				if err != nil || !ok {
 					continue // typed failures and misses are legitimate under chaos
 				}
-				gotIdx, gotVer, decOK := decodeWireVal(v)
-				if !decOK || gotIdx != idx {
-					t.Errorf("seed %d: read of key %d returned key %d (decode ok=%v)", seed, idx, gotIdx, decOK)
-					return
+				if dirty[idx].Load() {
+					floor = 0
 				}
-				if gotVer < floor && !dirty[idx].Load() {
-					t.Errorf("seed %d key %d: read version %d < acked floor %d", seed, idx, gotVer, floor)
-					return
-				}
-				if ceil := issued[idx].Load(); gotVer > ceil {
-					t.Errorf("seed %d key %d: read version %d > issued %d", seed, idx, gotVer, ceil)
+				if err := ledger.checkVersion(idx, v, floor); err != nil {
+					t.Errorf("seed %d: read of key %d %v", seed, idx, err)
 					return
 				}
 				if op%10 == 0 {
@@ -294,14 +204,13 @@ func runWireChaosSeed(t *testing.T, seed int64) {
 
 	// --- Reconciliation ---
 
-	backend.mu.Lock()
-	applies := backend.applies
-	backend.mu.Unlock()
-
 	// Exactly-once: no (key, version) applied twice, storm or not.
+	applied.mu.Lock()
+	applies := applied.applies
+	applied.mu.Unlock()
 	for val, n := range applies {
 		if n != 1 {
-			idx, ver, _ := decodeWireVal([]byte(val))
+			idx, ver, _ := decodeVersionVal([]byte(val))
 			t.Fatalf("seed %d: key %d version %d applied %d times", seed, idx, ver, n)
 		}
 	}
@@ -309,11 +218,9 @@ func runWireChaosSeed(t *testing.T, seed int64) {
 	// Zero lost acked writes, and (for keys whose every Put settled with a
 	// known outcome) the final state sits between the highest acked and
 	// highest issued version.
+	ledger.checkApplied(t, applied)
 	for idx := 0; idx < wireChaosKeys; idx++ {
-		high := acked[idx].Load()
-		if high > 0 && applies[string(wireVal(idx, high))] == 0 {
-			t.Fatalf("seed %d: key %d version %d acked but never applied", seed, idx, high)
-		}
+		high := ledger.acked[idx].Load()
 		v, ok := tree.Get(wireKey(idx))
 		if !ok {
 			if high > 0 {
@@ -321,17 +228,11 @@ func runWireChaosSeed(t *testing.T, seed int64) {
 			}
 			continue
 		}
-		_, stored, decOK := decodeWireVal(v)
-		if !decOK {
-			t.Fatalf("seed %d: key %d stored value undecodable", seed, idx)
+		if dirty[idx].Load() {
+			high = 0
 		}
-		if stored > issued[idx].Load() {
-			t.Fatalf("seed %d: key %d stored version %d > issued %d",
-				seed, idx, stored, issued[idx].Load())
-		}
-		if stored < high && !dirty[idx].Load() {
-			t.Fatalf("seed %d: key %d stored version %d < acked %d with no failed writes",
-				seed, idx, stored, high)
+		if err := ledger.checkVersion(idx, v, high); err != nil {
+			t.Fatalf("seed %d: stored key %d %v", seed, idx, err)
 		}
 	}
 

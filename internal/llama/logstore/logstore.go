@@ -98,9 +98,6 @@ type Config struct {
 	// SegmentBytes is the GC granularity. Must be a multiple of
 	// BufferBytes. Default 4 MiB.
 	SegmentBytes int64
-	// Retry bounds the backoff loop around device I/O; the zero value
-	// takes fault.DefaultRetry.
-	Retry fault.RetryPolicy
 	// Obs, when non-nil, receives one tracing span per append/read/flush;
 	// reads served by the device (not the write buffer) and appends that
 	// trigger a synchronous flush are marked as misses. Nil traces
@@ -350,7 +347,7 @@ func (s *Store) flushLocked(ch *sim.Charger) (err error) {
 	// cancellation is carried down via a detached charger. An aborted
 	// flush is not a store failure: the buffer survives for the next try.
 	dch := sim.DetachedCharger(ch.Context())
-	err = s.cfg.Retry.DoCtx(ch.Context(), &s.stats.Retry, func() error {
+	err = fault.DefaultRetry().DoCtx(ch.Context(), &s.stats.Retry, func() error {
 		return s.cfg.Device.WriteAt(s.bufStart, s.buf, dch)
 	})
 	if err != nil {
@@ -492,7 +489,7 @@ func (s *Store) scanDevice(fn func(rec Record, addr Address, recLen int64) bool)
 	}
 	for off+headerSize <= hw {
 		var hdr []byte
-		err := s.cfg.Retry.Do(&s.stats.Retry, func() error {
+		err := fault.DefaultRetry().Do(&s.stats.Retry, func() error {
 			var rerr error
 			hdr, rerr = s.cfg.Device.ReadAt(off, headerSize, nil)
 			return rerr
@@ -509,7 +506,7 @@ func (s *Store) scanDevice(fn func(rec Record, addr Address, recLen int64) bool)
 			return nil // torn tail record
 		}
 		var raw []byte
-		err = s.cfg.Retry.Do(&s.stats.Retry, func() error {
+		err = fault.DefaultRetry().Do(&s.stats.Retry, func() error {
 			var rerr error
 			raw, rerr = s.cfg.Device.ReadAt(off, headerSize+int(plen), nil)
 			return rerr
@@ -591,7 +588,7 @@ func (s *Store) CollectSegment(relocate func(rec Record, old Address) bool, ch *
 		segLen = hw - segOff
 	}
 	var raw []byte
-	err := s.cfg.Retry.Do(&s.stats.Retry, func() error {
+	err := fault.DefaultRetry().Do(&s.stats.Retry, func() error {
 		var rerr error
 		raw, rerr = s.cfg.Device.ReadAt(segOff, int(segLen), nil)
 		return rerr

@@ -37,13 +37,8 @@ type Config struct {
 	// LevelBytesBase is the size budget of level 1; each deeper level gets
 	// 10x more (default 1 MiB).
 	LevelBytesBase int64
-	// MaxLevels bounds the tree depth (default 7).
-	MaxLevels int
 	// Session enables execution-cost accounting (may be nil).
 	Session *sim.Session
-	// Retry bounds the backoff loop around device I/O; the zero value
-	// takes fault.DefaultRetry.
-	Retry fault.RetryPolicy
 	// Obs, when non-nil, receives one tracing span per operation; table
 	// reads and synchronous flushes mark the span as having touched the
 	// device. Nil traces nothing at zero cost.
@@ -63,11 +58,11 @@ func (c *Config) setDefaults() error {
 	if c.LevelBytesBase == 0 {
 		c.LevelBytesBase = 1 << 20
 	}
-	if c.MaxLevels == 0 {
-		c.MaxLevels = 7
-	}
 	return nil
 }
+
+// maxLevels bounds the tree depth.
+const maxLevels = 7
 
 // Stats counts tree events.
 type Stats struct {
@@ -108,7 +103,7 @@ func New(cfg Config) (*Tree, error) {
 	t := &Tree{
 		cfg:    cfg,
 		mem:    newMemtable(),
-		levels: make([][]*sstable, cfg.MaxLevels),
+		levels: make([][]*sstable, maxLevels),
 		tail:   tablesBase,
 	}
 	t.attachDeviceHealth()
@@ -215,7 +210,7 @@ func (t *Tree) write(key, val []byte, tombstone bool, ch *sim.Charger) error {
 func (t *Tree) writeTableRetried(id uint64, level int, entries []kv, off int64, ch *sim.Charger) (*sstable, int64, error) {
 	var tbl *sstable
 	var next int64
-	err := t.cfg.Retry.DoCtx(ch.Context(), &t.stats.Retry, func() error {
+	err := fault.DefaultRetry().DoCtx(ch.Context(), &t.stats.Retry, func() error {
 		var werr error
 		tbl, next, werr = writeTable(t.cfg.Device, id, level, entries, off)
 		return werr
@@ -232,7 +227,7 @@ func (t *Tree) writeTableRetried(id uint64, level int, entries []kv, off int64, 
 func (t *Tree) readRecords(tbl *sstable, i, j int, ch *sim.Charger) ([]byte, error) {
 	off, n := tbl.dataOff+tbl.recStart(i), int(tbl.recStart(j)-tbl.recStart(i))
 	var raw []byte
-	err := t.cfg.Retry.DoCtx(ch.Context(), &t.stats.Retry, func() error {
+	err := fault.DefaultRetry().DoCtx(ch.Context(), &t.stats.Retry, func() error {
 		var rerr error
 		raw, rerr = t.cfg.Device.ReadAt(off, n, ch)
 		return rerr

@@ -133,7 +133,7 @@ func (t *Tree) writeManifestLocked() error {
 		return fmt.Errorf("lsm: manifest (%d bytes) exceeds slot size %d", len(framed), manifestSlotBytes)
 	}
 	slot := int64(seq%manifestSlots) * manifestSlotBytes
-	err := t.cfg.Retry.Do(&t.stats.Retry, func() error {
+	err := fault.DefaultRetry().Do(&t.stats.Retry, func() error {
 		return t.cfg.Device.WriteAt(slot, framed, nil)
 	})
 	if err != nil {
@@ -171,7 +171,7 @@ func Open(cfg Config) (*Tree, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	retry := cfg.Retry
+	retry := fault.DefaultRetry()
 	var best struct {
 		ok     bool
 		seq    uint64
@@ -212,7 +212,7 @@ func Open(cfg Config) (*Tree, error) {
 	t := &Tree{
 		cfg:         cfg,
 		mem:         newMemtable(),
-		levels:      make([][]*sstable, cfg.MaxLevels),
+		levels:      make([][]*sstable, maxLevels),
 		tail:        best.tail,
 		nextID:      best.nextID,
 		manifestSeq: best.seq,
@@ -241,7 +241,7 @@ func (t *Tree) openTable(m tableMeta) (*sstable, error) {
 		return nil, fmt.Errorf("%w: table %d claims %d records in %d bytes", ErrCorrupt, m.id, m.entries, m.dataLen)
 	}
 	var raw []byte
-	err := t.cfg.Retry.Do(&t.stats.Retry, func() error {
+	err := fault.DefaultRetry().Do(&t.stats.Retry, func() error {
 		var rerr error
 		raw, rerr = t.cfg.Device.ReadAt(m.dataOff, int(m.dataLen), nil)
 		return rerr

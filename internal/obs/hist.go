@@ -3,7 +3,6 @@ package obs
 import (
 	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
 // histBuckets is the number of power-of-two latency buckets. Bucket i holds
@@ -145,65 +144,4 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		P95:   h.Quantile(0.95),
 		P99:   h.Quantile(0.99),
 	}
-}
-
-// windowSlots is the number of time slots a sliding window keeps.
-const windowSlots = 8
-
-// Window is an atomic sliding-window histogram: samples land in the slot of
-// their arrival time, slots are recycled lazily as time advances, and
-// Merged summarizes only the slots still inside the window. It gives the
-// chaos-harness narrator a "recent behaviour" view that an
-// all-of-history histogram cannot (a latency spike five minutes ago should
-// not dominate the current p99).
-type Window struct {
-	slotNanos int64
-	slots     [windowSlots]windowSlot
-}
-
-type windowSlot struct {
-	epoch atomic.Int64 // time bucket this slot currently holds (0 = never used)
-	h     Histogram
-}
-
-// NewWindow returns a sliding window of windowSlots slots of the given
-// duration each (minimum 1ms).
-func NewWindow(slot time.Duration) *Window {
-	if slot < time.Millisecond {
-		slot = time.Millisecond
-	}
-	return &Window{slotNanos: int64(slot)}
-}
-
-func (w *Window) slotFor(now int64) (*windowSlot, int64) {
-	e := now/w.slotNanos + 1 // +1 keeps epoch 0 meaning "never used"
-	return &w.slots[e%windowSlots], e
-}
-
-// Observe records one sample at time now.
-func (w *Window) Observe(v int64, now time.Time) {
-	s, e := w.slotFor(now.UnixNano())
-	if old := s.epoch.Load(); old != e {
-		// The slot holds an expired time bucket: the first arrival of the
-		// new bucket recycles it. A concurrent sample racing the reset may
-		// be dropped; the window trades that for lock-freedom.
-		if s.epoch.CompareAndSwap(old, e) {
-			s.h.reset()
-		}
-	}
-	s.h.Observe(v)
-}
-
-// Merged merges every slot still inside the window (relative to now) into a
-// fresh histogram.
-func (w *Window) Merged(now time.Time) *Histogram {
-	_, cur := w.slotFor(now.UnixNano())
-	out := &Histogram{}
-	for i := range w.slots {
-		s := &w.slots[i]
-		if e := s.epoch.Load(); e > 0 && cur-e < windowSlots {
-			out.Merge(&s.h)
-		}
-	}
-	return out
 }

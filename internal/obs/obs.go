@@ -87,10 +87,6 @@ type ioMeter struct {
 	busyNanos atomic.Int64
 }
 
-// windowSlotDur is the slot width of each tracer's recent-latency window;
-// with windowSlots slots the narrator sees roughly the last 4 seconds.
-const windowSlotDur = 500 * time.Millisecond
-
 // Tracer collects spans and device I/O accounting for one store. All hot
 // paths are atomic-only; the mutex guards only the attachment lists, which
 // change at setup time.
@@ -103,7 +99,6 @@ type Tracer struct {
 	lat     Histogram // all ended spans, nanoseconds
 	hitLat  Histogram // spans that stayed in memory
 	missLat Histogram // spans that synchronously touched the device
-	recent  *Window   // sliding window over all spans, for narrator lines
 
 	io ioMeter
 
@@ -119,7 +114,7 @@ type Tracer struct {
 // NewTracer returns a standalone tracer. Prefer Registry.Tracer so snapshots
 // aggregate; a nil *Tracer is itself valid and means "tracing off".
 func NewTracer(name string) *Tracer {
-	return &Tracer{name: name, start: time.Now(), recent: NewWindow(windowSlotDur)}
+	return &Tracer{name: name, start: time.Now()}
 }
 
 // Name returns the store name this tracer was registered under.
@@ -194,8 +189,7 @@ func (s *Span) EndOutcome(o Outcome) {
 		return
 	}
 	s.tr = nil // guard against double End
-	now := time.Now()
-	lat := now.Sub(s.t0).Nanoseconds()
+	lat := time.Since(s.t0).Nanoseconds()
 
 	m := &t.ops[s.op]
 	m.count.Add(1)
@@ -218,7 +212,6 @@ func (s *Span) EndOutcome(o Outcome) {
 	}
 
 	t.lat.Observe(lat)
-	t.recent.Observe(lat, now)
 	// Hit/miss (and the split latency histograms feeding measured R and
 	// ROPS) only count operations that ran to completion: shed or
 	// timed-out ops never learned whether they would have hit.
@@ -256,10 +249,6 @@ func (t *Tracer) Reset() {
 	t.lat.reset()
 	t.hitLat.reset()
 	t.missLat.reset()
-	for i := range t.recent.slots {
-		t.recent.slots[i].epoch.Store(0)
-		t.recent.slots[i].h.reset()
-	}
 	t.io.reads.Store(0)
 	t.io.writes.Store(0)
 	t.io.failed.Store(0)
@@ -356,13 +345,4 @@ func (t *Tracer) FoldLimiter(l *metrics.LimiterStats) {
 	t.mu.Lock()
 	t.limiters = append(t.limiters, l)
 	t.mu.Unlock()
-}
-
-// RecentSnapshot summarizes only the sliding latency window (roughly the
-// last few seconds) — the narrator's view of "now".
-func (t *Tracer) RecentSnapshot() HistSnapshot {
-	if t == nil {
-		return HistSnapshot{}
-	}
-	return t.recent.Merged(time.Now()).Snapshot()
 }

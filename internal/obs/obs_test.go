@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"costperf/internal/core"
 	"costperf/internal/fault"
@@ -115,25 +114,6 @@ func TestHistogramConcurrentMergeConservesCounts(t *testing.T) {
 	}
 	if wantCount != sources*samples {
 		t.Fatalf("source count = %d, want %d", wantCount, sources*samples)
-	}
-}
-
-// TestWindowExpiresOldSlots checks the sliding window forgets samples older
-// than its span and keeps recent ones.
-func TestWindowExpiresOldSlots(t *testing.T) {
-	w := obs.NewWindow(100 * time.Millisecond)
-	t0 := time.Unix(1000, 0)
-	w.Observe(5, t0)
-	w.Observe(7, t0.Add(50*time.Millisecond))
-	if got := w.Merged(t0.Add(60 * time.Millisecond)).Count(); got != 2 {
-		t.Fatalf("recent count = %d, want 2", got)
-	}
-	// 10 slots x 100ms later the old samples must be gone.
-	late := t0.Add(2 * time.Second)
-	w.Observe(9, late)
-	m := w.Merged(late)
-	if m.Count() != 1 || m.Sum() != 9 {
-		t.Fatalf("after expiry count/sum = %d/%d, want 1/9", m.Count(), m.Sum())
 	}
 }
 

@@ -6,7 +6,7 @@
 // Netflix's concurrency-limits): it keeps a latency floor — the store's
 // no-queue service time — and compares each window's mean latency
 // against it. Latency at the floor means spare capacity: the limit
-// climbs by a sqrt additive probe. Latency past Tolerance times the
+// climbs by a sqrt additive probe. Latency past tolerance times the
 // floor means queueing inside the store: the limit multiplies down by
 // the observed gradient. Because the signal is the *store's own*
 // latency, the limit converges near the knee of the latency/concurrency
@@ -70,14 +70,6 @@ type Config struct {
 	// Window is the number of latency samples per gradient update
 	// (default 64).
 	Window int
-	// Tolerance is how far past the floor the window mean may drift
-	// before the limit backs off (default 2.0 — latency may double
-	// before shrinking starts).
-	Tolerance float64
-	// Smoothing is the EWMA weight applied to limit *increases*;
-	// decreases apply immediately — under collapse the limiter must
-	// step down now, not after a moving average agrees (default 0.3).
-	Smoothing float64
 	// ProbeInterval is the number of windows between vegas floor
 	// re-probes (default 16; <0 disables probing).
 	ProbeInterval int
@@ -87,6 +79,17 @@ type Config struct {
 	DepthGauge *metrics.Gauge
 	PeakGauge  *metrics.Gauge
 }
+
+const (
+	// tolerance is how far past the floor the window mean may drift
+	// before the limit backs off: latency may double before shrinking
+	// starts.
+	tolerance = 2.0
+	// smoothing is the EWMA weight applied to limit *increases*;
+	// decreases apply immediately — under collapse the limiter must
+	// step down now, not after a moving average agrees.
+	smoothing = 0.3
+)
 
 func (c *Config) setDefaults() {
 	if c.Initial <= 0 {
@@ -109,12 +112,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Window <= 0 {
 		c.Window = 64
-	}
-	if c.Tolerance <= 1 {
-		c.Tolerance = 2.0
-	}
-	if c.Smoothing <= 0 || c.Smoothing > 1 {
-		c.Smoothing = 0.3
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 16
@@ -406,7 +403,7 @@ func (l *Limiter) updateLocked(sample, thr float64) {
 	// gradient <= 1: how far the window's latency sits past the
 	// tolerated band. At or under tolerance the limit grows by the
 	// additive sqrt probe; past it the limit multiplies down.
-	g := l.cfg.Tolerance * l.floor / sample
+	g := tolerance * l.floor / sample
 	if g > 1 {
 		g = 1
 	}
@@ -414,13 +411,13 @@ func (l *Limiter) updateLocked(sample, thr float64) {
 		g = 0.5
 	}
 	next := l.limit*g + math.Sqrt(l.limit)
-	congested := sample > l.cfg.Tolerance*l.floor
+	congested := sample > tolerance*l.floor
 	if congested && thr > 0 {
 		// Little's law: a store completing thr ops/s at the tolerated
 		// latency can use at most thr * (tol*floor) concurrency; 2x
 		// headroom, and never below Min. Only applied when congested —
 		// an idle window's throughput says nothing about capacity.
-		little := 2 * thr * (l.cfg.Tolerance * l.floor / 1e9)
+		little := 2 * thr * (tolerance * l.floor / 1e9)
 		if little < float64(l.cfg.Min) {
 			little = float64(l.cfg.Min)
 		}
@@ -430,7 +427,7 @@ func (l *Limiter) updateLocked(sample, thr float64) {
 	}
 	if next > prev {
 		// Increases are smoothed; decreases act immediately.
-		next = prev + l.cfg.Smoothing*(next-prev)
+		next = prev + smoothing*(next-prev)
 	}
 	if next < float64(l.cfg.Min) {
 		next = float64(l.cfg.Min)

@@ -11,7 +11,6 @@ import (
 	"costperf/internal/fault"
 	"costperf/internal/metrics"
 	"costperf/internal/obs"
-	"costperf/internal/sim"
 	"costperf/internal/ssd"
 	"costperf/internal/tc"
 )
@@ -42,8 +41,6 @@ type ClusterConfig struct {
 	WatchEvery time.Duration
 	// PromoteDrain bounds the pre-promotion ack-window drain (default 1s).
 	PromoteDrain time.Duration
-	// MaxStaleBytes bounds standby reads (see StandbyConfig).
-	MaxStaleBytes int64
 	// Retain bounds the standby's PITR checkpoint ring (see StandbyConfig).
 	Retain int
 	// Shipper tuning (zero values take ShipperConfig defaults).
@@ -54,13 +51,8 @@ type ClusterConfig struct {
 	RetryMax   time.Duration
 	Poll       time.Duration
 	Seed       int64
-	// LogBufferBytes / ReadCacheBytes / Session / Obs / Retry pass through
-	// to both TCs.
-	LogBufferBytes int
-	ReadCacheBytes int64
-	Session        *sim.Session
-	Obs            *obs.Tracer
-	Retry          fault.RetryPolicy
+	// Obs passes through to both TCs.
+	Obs *obs.Tracer
 }
 
 // Cluster is a replicated store: an engine.Store whose writes are
@@ -117,14 +109,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	cfg.Obs.FoldHealth(&c.health)
 
 	primary, err := tc.New(tc.Config{
-		DC:             cfg.PrimaryDC,
-		LogDevice:      cfg.PrimaryLog,
-		LogBufferBytes: cfg.LogBufferBytes,
-		ReadCacheBytes: cfg.ReadCacheBytes,
-		Session:        cfg.Session,
-		Retry:          cfg.Retry,
-		Obs:            cfg.Obs,
-		CommitGate:     c.gateFor(1),
+		DC:         cfg.PrimaryDC,
+		LogDevice:  cfg.PrimaryLog,
+		Obs:        cfg.Obs,
+		CommitGate: c.gateFor(1),
 	})
 	if err != nil {
 		return nil, err
@@ -133,14 +121,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 
 	c.link = NewLink(cfg.Net)
 	c.standby = NewStandby(StandbyConfig{
-		Link:          c.link,
-		LogDevice:     cfg.StandbyLog,
-		DC:            cfg.StandbyDC,
-		Epoch:         1,
-		MaxStaleBytes: cfg.MaxStaleBytes,
-		Retain:        cfg.Retain,
-		Retry:         cfg.Retry,
-		Stats:         &c.stats,
+		Link:      c.link,
+		LogDevice: cfg.StandbyLog,
+		DC:        cfg.StandbyDC,
+		Epoch:     1,
+		Retain:    cfg.Retain,
+		Stats:     &c.stats,
 	})
 	c.shipper = NewShipper(ShipperConfig{
 		TC:         primary,
@@ -262,16 +248,12 @@ func (c *Cluster) promote() error {
 	appliedLSN, maxTS := c.standby.Seal(newEpoch)
 
 	replacement, err := tc.New(tc.Config{
-		DC:             c.cfg.StandbyDC,
-		LogDevice:      c.cfg.StandbyLog,
-		LogBufferBytes: c.cfg.LogBufferBytes,
-		ReadCacheBytes: c.cfg.ReadCacheBytes,
-		Session:        c.cfg.Session,
-		Retry:          c.cfg.Retry,
-		Obs:            c.cfg.Obs,
-		CommitGate:     c.gateFor(newEpoch),
-		LogStartLSN:    appliedLSN,
-		InitialClock:   maxTS,
+		DC:           c.cfg.StandbyDC,
+		LogDevice:    c.cfg.StandbyLog,
+		Obs:          c.cfg.Obs,
+		CommitGate:   c.gateFor(newEpoch),
+		LogStartLSN:  appliedLSN,
+		InitialClock: maxTS,
 	})
 	if err != nil {
 		return err

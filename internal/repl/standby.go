@@ -40,9 +40,6 @@ type StandbyConfig struct {
 	// Retain bounds the checkpoint ring (default 8); recording one more
 	// drops the oldest and advances the PITR retention floor.
 	Retain int
-	// Retry bounds the backoff loop around standby log writes; the zero
-	// value takes fault.DefaultRetry.
-	Retry fault.RetryPolicy
 	// Stats, when non-nil, is the shared counter block (nil allocates one).
 	Stats *metrics.ReplStats
 }
@@ -76,9 +73,6 @@ func NewStandby(cfg StandbyConfig) *Standby {
 	}
 	if cfg.Retain <= 0 {
 		cfg.Retain = 8
-	}
-	if cfg.Retry.MaxAttempts == 0 {
-		cfg.Retry = fault.DefaultRetry()
 	}
 	s := &Standby{
 		cfg:   cfg,
@@ -217,7 +211,7 @@ func (s *Standby) Handle(f Frame) (Ack, bool) {
 	// Persist first, apply second: once acked, the bytes must survive a
 	// standby restart, and replaying them is idempotent (blind writes).
 	fresh := f.Payload[s.applied-f.From:] // record-aligned: applied is a batch boundary
-	err := s.cfg.Retry.Do(nil, func() error {
+	err := fault.DefaultRetry().Do(nil, func() error {
 		return s.cfg.LogDevice.WriteAt(s.applied, fresh, nil)
 	})
 	if err != nil {

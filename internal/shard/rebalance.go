@@ -36,10 +36,6 @@ type RebalanceConfig struct {
 	// share is below ColdFrac/N (default 0.5).
 	ColdFrac float64
 
-	// MinShards / MaxShards bound the fleet size (defaults 1 and
-	// MaxMapEntries).
-	MinShards int
-	MaxShards int
 	// Cooldown is the number of Steps skipped after an action, letting
 	// the new shards accumulate a window of real traffic (default 2).
 	Cooldown int
@@ -87,12 +83,6 @@ func (r *Router) NewRebalancer(cfg RebalanceConfig) (*Rebalancer, error) {
 	}
 	if cfg.ColdFrac <= 0 || cfg.ColdFrac >= 1 {
 		cfg.ColdFrac = 0.5
-	}
-	if cfg.MinShards < 1 {
-		cfg.MinShards = 1
-	}
-	if cfg.MaxShards <= 0 || cfg.MaxShards > MaxMapEntries {
-		cfg.MaxShards = MaxMapEntries
 	}
 	if cfg.Cooldown < 0 {
 		cfg.Cooldown = 0
@@ -152,7 +142,7 @@ func (b *Rebalancer) Step(ctx context.Context) (*RebalanceAction, error) {
 	if !b.armed && hotShare < b.cfg.LowFactor*fair {
 		b.armed = true
 	}
-	if b.armed && n > 1 && hotShare > b.cfg.HighFactor*fair && n < b.cfg.MaxShards {
+	if b.armed && n > 1 && hotShare > b.cfg.HighFactor*fair && n < MaxMapEntries {
 		slot := m.Entries[hotIdx].Slot
 		act := &RebalanceAction{
 			Kind: "split", Slot: slot, With: -1,
@@ -187,7 +177,7 @@ func (b *Rebalancer) Step(ctx context.Context) (*RebalanceAction, error) {
 			coldIdx, coldShare = i, pair
 		}
 	}
-	if coldIdx >= 0 && n > b.cfg.MinShards && coldShare < b.cfg.ColdFrac*fair {
+	if coldIdx >= 0 && n > 1 && coldShare < b.cfg.ColdFrac*fair {
 		l, rr := m.Entries[coldIdx].Slot, m.Entries[coldIdx+1].Slot
 		act := &RebalanceAction{
 			Kind: "merge", Slot: l, With: rr,

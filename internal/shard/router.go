@@ -10,7 +10,6 @@ import (
 
 	"costperf/internal/backoff"
 	"costperf/internal/engine"
-	"costperf/internal/fault"
 	"costperf/internal/metrics"
 	"costperf/internal/obs"
 	"costperf/internal/repl"
@@ -40,19 +39,15 @@ type Config struct {
 	// semi-synchronous, and a latched-degraded primary fails over
 	// automatically — per-shard, without touching the other shards.
 	Standby bool
-	// Net supplies the ship-link fault injector for a replicated shard
-	// (nil shard injector = perfect link). Ignored without Standby.
-	Net func(shard int) *fault.NetInjector
 	// CommitWait bounds each replicated shard's semi-synchronous ack wait
 	// (default per repl.ClusterConfig).
 	CommitWait time.Duration
 
-	// MaxConcurrent / MaxQueue / DefaultTimeout configure each shard's
-	// engine front-end (per-shard admission control and breaker; zero
-	// values take the engine defaults).
-	MaxConcurrent  int
-	MaxQueue       int
-	DefaultTimeout time.Duration
+	// MaxConcurrent / MaxQueue configure each shard's engine front-end
+	// (per-shard admission control and breaker; zero values take the
+	// engine defaults).
+	MaxConcurrent int
+	MaxQueue      int
 
 	// Adaptive switches every shard engine's admission limiter from the
 	// static MaxConcurrent semaphore to the gradient limiter, with
@@ -88,8 +83,6 @@ type Config struct {
 	// their physical I/O to the same tracer.
 	Registry *obs.Registry
 
-	// LogBufferBytes passes through to each shard's TC (0 = tc default).
-	LogBufferBytes int
 	// Seed seeds per-shard jitter (breaker probes, ship backoff, moved
 	// re-dispatch).
 	Seed int64
@@ -296,16 +289,11 @@ func (r *Router) newOwner(tg *target) (*owner, error) {
 	o := &owner{shard: tg.slot, gen: tg.gen}
 	var store engine.Store
 	if r.cfg.Standby {
-		var net *fault.NetInjector
-		if r.cfg.Net != nil {
-			net = r.cfg.Net(tg.slot)
-		}
 		plog := r.newLog(tg.slot, fmt.Sprintf("shard%d-primary-log.%d", tg.slot, tg.gen))
 		slog := r.newLog(tg.slot, fmt.Sprintf("shard%d-standby-log.%d", tg.slot, tg.gen))
 		cl, err := repl.NewCluster(repl.ClusterConfig{
 			PrimaryDC: r.cfg.NewDC(tg.slot), PrimaryLog: plog,
 			StandbyDC: r.cfg.NewDC(tg.slot), StandbyLog: slog,
-			Net:          net,
 			CommitWait:   r.cfg.CommitWait,
 			AutoFailover: true,
 			AckTimeout:   shipTuning.AckTimeout,
@@ -324,11 +312,10 @@ func (r *Router) newOwner(tg *target) (*owner, error) {
 	} else {
 		t, err := tc.New(tc.Config{
 			DC: tg.dc, LogDevice: tg.log,
-			LogBufferBytes: r.cfg.LogBufferBytes,
-			CommitGate:     o.gate,
-			LogStartLSN:    tg.start,
-			InitialClock:   tg.clock,
-			Obs:            tr,
+			CommitGate:   o.gate,
+			LogStartLSN:  tg.start,
+			InitialClock: tg.clock,
+			Obs:          tr,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("shard %d tc: %w", tg.slot, err)
@@ -340,7 +327,6 @@ func (r *Router) newOwner(tg *target) (*owner, error) {
 		Store:           store,
 		MaxConcurrent:   r.cfg.MaxConcurrent,
 		MaxQueue:        r.cfg.MaxQueue,
-		DefaultTimeout:  r.cfg.DefaultTimeout,
 		ProbeJitterSeed: r.seed(tg.slot, tg.gen),
 		Adaptive:        r.cfg.Adaptive,
 		AdaptiveMin:     r.cfg.AdaptiveMin,

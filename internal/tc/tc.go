@@ -89,13 +89,8 @@ type Config struct {
 	LogDevice ssd.Dev
 	// LogBufferBytes sizes the in-memory recovery-log buffer (default 1 MiB).
 	LogBufferBytes int
-	// ReadCacheBytes budgets the log-structured read cache (default 4 MiB).
-	ReadCacheBytes int64
 	// Session enables execution-cost accounting (may be nil).
 	Session *sim.Session
-	// Retry bounds the backoff loop around log-device I/O; the zero value
-	// takes fault.DefaultRetry.
-	Retry fault.RetryPolicy
 	// Obs, when non-nil, receives one tracing span per transactional
 	// read/commit; reads that fall through to the data component are
 	// marked as misses. Nil traces nothing at zero cost.
@@ -113,6 +108,9 @@ type Config struct {
 	// monotonic across failover).
 	InitialClock uint64
 }
+
+// readCacheBytes budgets the log-structured read cache.
+const readCacheBytes = 4 << 20
 
 // TC is the transaction component. Safe for concurrent use.
 type TC struct {
@@ -138,10 +136,7 @@ func New(cfg Config) (*TC, error) {
 	if cfg.LogDevice == nil {
 		return nil, errors.New("tc: nil log device")
 	}
-	if cfg.ReadCacheBytes == 0 {
-		cfg.ReadCacheBytes = 4 << 20
-	}
-	rc, err := recordcache.NewRing(cfg.ReadCacheBytes)
+	rc, err := recordcache.NewRing(readCacheBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +147,7 @@ func New(cfg Config) (*TC, error) {
 		nextTx: 1,
 		rcache: rc,
 	}
-	tc.log = newRlog(cfg.LogDevice, cfg.LogBufferBytes, cfg.Retry, &tc.stats.Retry, &tc.stats.Health)
+	tc.log = newRlog(cfg.LogDevice, cfg.LogBufferBytes, fault.DefaultRetry(), &tc.stats.Retry, &tc.stats.Health)
 	tc.log.start = cfg.LogStartLSN
 	tc.clock.Store(cfg.InitialClock)
 	// A self-healing log device (ssd.Mirror) escalates unrecoverable
@@ -167,9 +162,6 @@ func New(cfg Config) (*TC, error) {
 
 // Stats returns the TC's counters.
 func (tc *TC) Stats() *Stats { return &tc.stats }
-
-// ReadCacheStats exposes the read cache's own counters.
-func (tc *TC) ReadCacheStats() *recordcache.Stats { return tc.rcache.Stats() }
 
 // Tx is a transaction handle (snapshot isolation, first-committer-wins).
 // A Tx is used by one goroutine.

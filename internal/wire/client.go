@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"costperf/internal/backoff"
-	"costperf/internal/engine"
 	"costperf/internal/metrics"
 	"costperf/internal/overload"
 	"costperf/internal/shard"
@@ -23,14 +22,8 @@ type ClientConfig struct {
 	// Dial opens a connection to the server (required). It is called for
 	// the first connection and after every connection failure.
 	Dial func() (net.Conn, error)
-	// ClientID is the stable idempotency identity presented to the
-	// server's dedup window; it must survive reconnects. 0 derives one
-	// from Seed; to opt out of deduplication set DisableDedup.
-	ClientID uint64
-	// DisableDedup sends a zero client ID, opting out of server-side
-	// write deduplication.
-	DisableDedup bool
-	// Seed seeds retry jitter and the derived ClientID (default 1).
+	// Seed seeds retry jitter and the client's idempotency identity
+	// (default 1).
 	Seed int64
 	// MaxInFlight bounds pipelined requests in flight (default 32).
 	MaxInFlight int
@@ -80,19 +73,6 @@ func (c *ClientConfig) setDefaults() error {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.ClientID == 0 && !c.DisableDedup {
-		// Derive a stable nonzero identity from the seed (splitmix64).
-		z := uint64(c.Seed) + 0x9e3779b97f4a7c15
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		c.ClientID = z ^ (z >> 31)
-		if c.ClientID == 0 {
-			c.ClientID = 1
-		}
-	}
-	if c.DisableDedup {
-		c.ClientID = 0
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 32
@@ -174,6 +154,10 @@ type Client struct {
 	cfg   ClientConfig
 	stats ClientStats
 
+	// id is the stable idempotency identity presented to the server's
+	// dedup window; it survives reconnects.
+	id uint64
+
 	seq    atomic.Uint64
 	window chan struct{}
 
@@ -208,11 +192,23 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	return &Client{
 		cfg:    cfg,
+		id:     clientID(cfg.Seed),
 		window: make(chan struct{}, cfg.MaxInFlight),
 		src:    backoff.New(backoff.Policy{Base: cfg.RetryBase, Max: cfg.RetryMax}, cfg.Seed),
 		tokens: retryBucketCap, // start full: a transient blip can retry at once
 		closed: make(chan struct{}),
 	}, nil
+}
+
+// clientID derives a stable nonzero identity from the seed (splitmix64).
+func clientID(seed int64) uint64 {
+	z := uint64(seed) + 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	if id := z ^ (z >> 31); id != 0 {
+		return id
+	}
+	return 1
 }
 
 // Stats returns the client's counters.
@@ -323,7 +319,7 @@ func (c *Client) do(ctx context.Context, req request, isRead bool) ([]byte, erro
 	}
 	defer func() { <-c.window }()
 
-	req.ClientID = c.cfg.ClientID
+	req.ClientID = c.id
 	req.Seq = c.seq.Add(1)
 	req.Class = overload.ClassFrom(ctx, c.cfg.defaultClass())
 	c.earnRetryTokens()
@@ -718,11 +714,3 @@ func (cc *clientConn) brokenErr() error {
 	}
 	return cc.err
 }
-
-// Unavailable reports whether err is the client's gave-up error (every
-// retry exhausted), as opposed to a typed server status.
-func Unavailable(err error) bool { return errors.Is(err, ErrUnavailable) }
-
-// Overloaded reports whether err is the server's typed overload status
-// crossing the wire.
-func Overloaded(err error) bool { return errors.Is(err, engine.ErrOverload) }

@@ -62,16 +62,9 @@ type ServerConfig struct {
 	// draining responses: a single response write blocked past this bound
 	// closes the connection (default 2s; <0 disables).
 	WriteStallTimeout time.Duration
-	// ReadIdleTimeout closes a connection that has sent nothing for this
-	// long with nothing in flight — the hung half of a half-closed peer
-	// (default 0 = never).
-	ReadIdleTimeout time.Duration
 	// DedupWindow is the per-client count of acked writes remembered for
 	// retry deduplication (default 1024).
 	DedupWindow int
-	// MaxDedupClients bounds the number of client dedup windows held;
-	// the least-recently-active window is evicted beyond it (default 1024).
-	MaxDedupClients int
 	// MaxScanBytes bounds the encoded size of one scan response; a scan
 	// that would exceed it is truncated and flagged (default 256 KiB).
 	MaxScanBytes int
@@ -89,9 +82,6 @@ func (c *ServerConfig) setDefaults() error {
 	}
 	if c.DedupWindow <= 0 {
 		c.DedupWindow = 1024
-	}
-	if c.MaxDedupClients <= 0 {
-		c.MaxDedupClients = 1024
 	}
 	if c.MaxScanBytes <= 0 {
 		c.MaxScanBytes = 256 << 10
@@ -175,7 +165,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cancel:    cancel,
 		conns:     make(map[*srvConn]struct{}),
 		listeners: make(map[net.Listener]struct{}),
-		dedup:     newDedupTable(cfg.DedupWindow, cfg.MaxDedupClients),
+		dedup:     newDedupTable(cfg.DedupWindow),
 		mapper:    mapper,
 		adviser:   adviser,
 	}, nil
@@ -428,9 +418,6 @@ func (sc *srvConn) reader() {
 	defer sc.s.wg.Done()
 	br := bufio.NewReaderSize(sc.c, readBufBytes)
 	for {
-		if idle := sc.s.cfg.ReadIdleTimeout; idle > 0 {
-			sc.c.SetReadDeadline(time.Now().Add(idle))
-		}
 		payload, err := frame.Read(br, frame.MaxBytes)
 		if err != nil {
 			if errors.Is(err, frame.ErrCRC) {
@@ -442,7 +429,7 @@ func (sc *srvConn) reader() {
 			if errors.Is(err, fault.ErrCorrupt) {
 				sc.s.stats.BadFrames.Inc() // desynced stream: kill the conn
 			}
-			// EOF, closed, idle timeout, or desync: finish in-flight work,
+			// EOF, closed, or desync: finish in-flight work,
 			// flush what can still be flushed, and close.
 			go sc.gracefulClose()
 			return
@@ -678,13 +665,16 @@ func (sc *srvConn) scan(ctx context.Context, req request) ([]byte, Status, strin
 	return encodeScanBody(pairs, truncated), StatusOK, ""
 }
 
+// maxDedupClients bounds the number of client dedup windows held; the
+// least-recently-active window is evicted beyond it.
+const maxDedupClients = 1024
+
 // dedupTable holds per-client windows of acked writes.
 type dedupTable struct {
-	mu         sync.Mutex
-	clients    map[uint64]*clientWindow
-	window     int
-	maxClients int
-	clock      int64
+	mu      sync.Mutex
+	clients map[uint64]*clientWindow
+	window  int
+	clock   int64
 }
 
 type clientWindow struct {
@@ -698,11 +688,10 @@ type dedupEntry struct {
 	ok      bool
 }
 
-func newDedupTable(window, maxClients int) *dedupTable {
+func newDedupTable(window int) *dedupTable {
 	return &dedupTable{
-		clients:    make(map[uint64]*clientWindow),
-		window:     window,
-		maxClients: maxClients,
+		clients: make(map[uint64]*clientWindow),
+		window:  window,
 	}
 }
 
@@ -752,7 +741,7 @@ func (d *dedupTable) settle(client, seq uint64, e *dedupEntry, ok bool) {
 // evictClientsLocked drops the least-recently-active client window when
 // over budget. Caller holds d.mu.
 func (d *dedupTable) evictClientsLocked() {
-	for len(d.clients) > d.maxClients {
+	for len(d.clients) > maxDedupClients {
 		var oldest uint64
 		var oldestTouch int64 = 1<<63 - 1
 		for id, w := range d.clients {

@@ -19,7 +19,7 @@
 #
 # Set CHECK_FAILOVER=1 for the full 100-seed warm-standby failover soak
 # under the race detector: lossy/partitioned ship links, mid-ship primary
-# crashes, forced promotions, and PITR verification against a MassTree
+# crashes, forced promotions, and PITR verification against the acked-state
 # oracle, with a hard watchdog timeout so a wedged drain fails the run
 # instead of hanging it.
 #
@@ -117,11 +117,11 @@ while read -r gate race timeout run pkgs full; do
         $(echo "$pkgs" | tr , ' ') $full </dev/null
 done <<'EOF'
 CHECK_SCRUB     off  10m  TestScrubSoakLong|TestMirror  ./internal/ssd,./internal/integration  -
-CHECK_FAILOVER  on   15m  TestFailoverChaosSweep        ./internal/integration  -failover.full=true
-CHECK_SHARD     on   15m  TestShardMigrationChaosSweep  ./internal/integration  -shard.full=true
-CHECK_RESIZE    on   15m  TestShardResizeChaosSweep     ./internal/integration  -resize.full=true
-CHECK_WIRE      on   15m  TestWireChaosSweep            ./internal/integration  -wire.full=true
-CHECK_OVERLOAD  on   20m  TestOverloadChaosSweep        ./internal/integration  -overload.full=true
+CHECK_FAILOVER  on   15m  TestFailoverChaosSweep        ./internal/integration  -full
+CHECK_SHARD     on   15m  TestShardMigrationChaosSweep  ./internal/integration  -full
+CHECK_RESIZE    on   15m  TestShardResizeChaosSweep     ./internal/integration  -full
+CHECK_WIRE      on   15m  TestWireChaosSweep            ./internal/integration  -full
+CHECK_OVERLOAD  on   20m  TestOverloadChaosSweep        ./internal/integration  -full
 EOF
 if [ -n "${CHECK_MATRIX:-}" ]; then
     go build -o /tmp/kvbench ./cmd/kvbench
