@@ -14,10 +14,8 @@ vet:
 test:
 	$(GO) test ./...
 
-race:
-	$(GO) test -race ./internal/bwtree ./internal/llama/... ./internal/tc \
-		./internal/ssd ./internal/fault ./internal/lsm ./internal/metrics \
-		./internal/engine ./internal/integration
+race: ## the race step of CI's race job: the whole module, short workloads
+	$(GO) test -race -short ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

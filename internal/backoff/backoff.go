@@ -1,8 +1,8 @@
 // Package backoff is the repo's single implementation of jittered
-// exponential backoff. Three subsystems grew identical copies of the
+// exponential backoff. Four subsystems grew identical copies of the
 // same shape — the engine's breaker probes, the wire client's retry
-// sleeps, and the shard router's moved-op re-dispatches — and all three
-// now draw from here:
+// sleeps, the shard router's moved-op re-dispatches, and the replication
+// shipper's resends — and all four now draw from here:
 //
 //	d = min(base << (attempt-1), max), drawn uniformly from [d/2, d]
 //

@@ -163,23 +163,6 @@ func New(cfg Config) (*Tree, error) {
 // Stats returns the tree's counters.
 func (t *Tree) Stats() *Stats { return &t.stats }
 
-func (t *Tree) begin() *sim.Charger {
-	if t.cfg.Session == nil {
-		return nil
-	}
-	return t.cfg.Session.Begin()
-}
-
-// beginCtx is begin with the operation's context bound to the charger, so
-// cancellation propagates into page reads, write-backs, and pool eviction
-// even when no Session is configured.
-func (t *Tree) beginCtx(ctx context.Context) *sim.Charger {
-	if t.cfg.Session == nil {
-		return sim.DetachedCharger(ctx)
-	}
-	return t.cfg.Session.Begin().WithContext(ctx)
-}
-
 func (t *Tree) allocLocked(leaf bool) *page {
 	p := &page{id: t.nextID, leaf: leaf, dirty: true}
 	t.nextID++
@@ -193,9 +176,7 @@ func (t *Tree) fetch(id pageID, ch *sim.Charger) (*page, error) {
 	if p, ok := t.pool[id]; ok {
 		p.lastUse = t.tick
 		t.stats.PoolHits.Inc()
-		if ch != nil {
-			ch.Chase(1)
-		}
+		ch.Chase(1)
 		return p, nil
 	}
 	t.stats.PoolMisses.Inc()
@@ -210,9 +191,7 @@ func (t *Tree) fetch(id pageID, ch *sim.Charger) (*page, error) {
 		t.cfg.Device.Stats().ReclassifyRead()
 		return nil, err
 	}
-	if ch != nil {
-		ch.Add(ch.Profile().PageDeserialize)
-	}
+	ch.Add(ch.Profile().PageDeserialize)
 	p.lastUse = t.tick
 	t.pool[id] = p
 	return p, t.enforcePoolLocked(ch)
@@ -262,13 +241,13 @@ func (t *Tree) writeBackLocked(p *page, ch *sim.Charger) error {
 
 // Get returns the value for key.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	return t.get(key, t.begin())
+	return t.get(key, t.cfg.Session.Begin())
 }
 
 // GetCtx is Get bounded by ctx: pool-miss page reads abort promptly once
 // ctx is cancelled or past deadline.
 func (t *Tree) GetCtx(ctx context.Context, key []byte) ([]byte, bool, error) {
-	return t.get(key, t.beginCtx(ctx))
+	return t.get(key, t.cfg.Session.Begin().WithContext(ctx))
 }
 
 func (t *Tree) get(key []byte, ch *sim.Charger) (_ []byte, _ bool, err error) {
@@ -278,41 +257,25 @@ func (t *Tree) get(key []byte, ch *sim.Charger) (_ []byte, _ bool, err error) {
 	m0, wb0 := t.stats.PoolMisses.Value(), t.stats.WriteBacks.Value()
 	defer func() { t.endOpLocked(&sp, m0, wb0, err) }()
 	if t.closed {
-		abandon(ch)
+		ch.Abandon()
 		return nil, false, ErrClosed
 	}
 	p, err := t.descend(key, ch)
 	if err != nil {
-		abandon(ch)
+		ch.Abandon()
 		return nil, false, err
 	}
 	i := sort.Search(len(p.keys), func(i int) bool { return bytes.Compare(p.keys[i], key) >= 0 })
-	if ch != nil {
-		ch.Compare(4)
-	}
+	ch.Compare(4)
 	t.stats.Gets.Inc()
 	if i < len(p.keys) && bytes.Equal(p.keys[i], key) {
 		v := p.vals[i]
-		if ch != nil {
-			ch.Copy(len(v))
-			ch.Settle()
-		}
+		ch.Copy(len(v))
+		ch.Settle()
 		return v, true, nil
 	}
-	settle(ch)
+	ch.Settle()
 	return nil, false, nil
-}
-
-func abandon(ch *sim.Charger) {
-	if ch != nil {
-		ch.Abandon()
-	}
-}
-
-func settle(ch *sim.Charger) {
-	if ch != nil {
-		ch.Settle()
-	}
 }
 
 // endOpLocked finishes an operation span, marking it a miss when the
@@ -334,9 +297,7 @@ func (t *Tree) descend(key []byte, ch *sim.Charger) (*page, error) {
 	}
 	for !p.leaf {
 		i := sort.Search(len(p.keys), func(i int) bool { return bytes.Compare(key, p.keys[i]) < 0 })
-		if ch != nil {
-			ch.Compare(4)
-		}
+		ch.Compare(4)
 		p, err = t.fetch(p.children[i], ch)
 		if err != nil {
 			return nil, err
@@ -347,18 +308,18 @@ func (t *Tree) descend(key []byte, ch *sim.Charger) (*page, error) {
 
 // Insert upserts key -> val.
 func (t *Tree) Insert(key, val []byte) error {
-	return t.insert(key, val, t.begin())
+	return t.insert(key, val, t.cfg.Session.Begin())
 }
 
 // InsertCtx is Insert bounded by ctx.
 func (t *Tree) InsertCtx(ctx context.Context, key, val []byte) error {
-	return t.insert(key, val, t.beginCtx(ctx))
+	return t.insert(key, val, t.cfg.Session.Begin().WithContext(ctx))
 }
 
 func (t *Tree) insert(key, val []byte, ch *sim.Charger) (err error) {
 	sp := t.cfg.Obs.Start(obs.OpPut)
 	if len(key)+len(val)+24 > PageSize/2 {
-		abandon(ch)
+		ch.Abandon()
 		sp.End(ErrTooLarge)
 		return ErrTooLarge
 	}
@@ -369,12 +330,12 @@ func (t *Tree) insert(key, val []byte, ch *sim.Charger) (err error) {
 	m0, wb0 := t.stats.PoolMisses.Value(), t.stats.WriteBacks.Value()
 	defer func() { t.endOpLocked(&sp, m0, wb0, err) }()
 	if t.closed {
-		abandon(ch)
+		ch.Abandon()
 		return ErrClosed
 	}
 	sep, right, err := t.insertRec(t.root, key, val, ch)
 	if err != nil {
-		abandon(ch)
+		ch.Abandon()
 		return err
 	}
 	if right != nilPage {
@@ -386,10 +347,8 @@ func (t *Tree) insert(key, val []byte, ch *sim.Charger) (err error) {
 		t.root = nr.id
 	}
 	t.stats.Inserts.Inc()
-	if ch != nil {
-		ch.Copy(len(key) + len(val))
-		ch.Settle()
-	}
+	ch.Copy(len(key) + len(val))
+	ch.Settle()
 	return nil
 }
 
@@ -402,9 +361,7 @@ func (t *Tree) insertRec(id pageID, key, val []byte, ch *sim.Charger) ([]byte, p
 	}
 	if p.leaf {
 		i := sort.Search(len(p.keys), func(i int) bool { return bytes.Compare(p.keys[i], key) >= 0 })
-		if ch != nil {
-			ch.Compare(4)
-		}
+		ch.Compare(4)
 		if i < len(p.keys) && bytes.Equal(p.keys[i], key) {
 			p.vals[i] = val
 		} else {
@@ -419,9 +376,7 @@ func (t *Tree) insertRec(id pageID, key, val []byte, ch *sim.Charger) ([]byte, p
 		return t.maybeSplitLocked(p)
 	}
 	i := sort.Search(len(p.keys), func(i int) bool { return bytes.Compare(key, p.keys[i]) < 0 })
-	if ch != nil {
-		ch.Compare(4)
-	}
+	ch.Compare(4)
 	sep, right, err := t.insertRec(p.children[i], key, val, ch)
 	if err != nil {
 		return nil, nilPage, err
@@ -475,12 +430,12 @@ func (t *Tree) maybeSplitLocked(p *page) ([]byte, pageID, error) {
 // Delete removes key (idempotent). Pages are not merged (classic lazy
 // deletion).
 func (t *Tree) Delete(key []byte) error {
-	return t.delete(key, t.begin())
+	return t.delete(key, t.cfg.Session.Begin())
 }
 
 // DeleteCtx is Delete bounded by ctx.
 func (t *Tree) DeleteCtx(ctx context.Context, key []byte) error {
-	return t.delete(key, t.beginCtx(ctx))
+	return t.delete(key, t.cfg.Session.Begin().WithContext(ctx))
 }
 
 func (t *Tree) delete(key []byte, ch *sim.Charger) (err error) {
@@ -490,12 +445,12 @@ func (t *Tree) delete(key []byte, ch *sim.Charger) (err error) {
 	m0, wb0 := t.stats.PoolMisses.Value(), t.stats.WriteBacks.Value()
 	defer func() { t.endOpLocked(&sp, m0, wb0, err) }()
 	if t.closed {
-		abandon(ch)
+		ch.Abandon()
 		return ErrClosed
 	}
 	p, err := t.descend(key, ch)
 	if err != nil {
-		abandon(ch)
+		ch.Abandon()
 		return err
 	}
 	i := sort.Search(len(p.keys), func(i int) bool { return bytes.Compare(p.keys[i], key) >= 0 })
@@ -505,19 +460,19 @@ func (t *Tree) delete(key []byte, ch *sim.Charger) (err error) {
 		p.dirty = true
 	}
 	t.stats.Deletes.Inc()
-	settle(ch)
+	ch.Settle()
 	return nil
 }
 
 // Scan visits keys >= start in order via the leaf sibling chain.
 func (t *Tree) Scan(start []byte, limit int, fn func(k, v []byte) bool) error {
-	return t.scan(start, limit, fn, t.begin())
+	return t.scan(start, limit, fn, t.cfg.Session.Begin())
 }
 
 // ScanCtx is Scan bounded by ctx: the context is checked at every sibling
 // hop, so a cancelled scan stops fetching pages.
 func (t *Tree) ScanCtx(ctx context.Context, start []byte, limit int, fn func(k, v []byte) bool) error {
-	return t.scan(start, limit, fn, t.beginCtx(ctx))
+	return t.scan(start, limit, fn, t.cfg.Session.Begin().WithContext(ctx))
 }
 
 func (t *Tree) scan(start []byte, limit int, fn func(k, v []byte) bool, ch *sim.Charger) (err error) {
@@ -527,13 +482,13 @@ func (t *Tree) scan(start []byte, limit int, fn func(k, v []byte) bool, ch *sim.
 	m0, wb0 := t.stats.PoolMisses.Value(), t.stats.WriteBacks.Value()
 	defer func() { t.endOpLocked(&sp, m0, wb0, err) }()
 	if t.closed {
-		abandon(ch)
+		ch.Abandon()
 		return ErrClosed
 	}
 	t.stats.Scans.Inc()
 	p, err := t.descend(start, ch)
 	if err != nil {
-		abandon(ch)
+		ch.Abandon()
 		return err
 	}
 	visited := 0
@@ -541,26 +496,26 @@ func (t *Tree) scan(start []byte, limit int, fn func(k, v []byte) bool, ch *sim.
 	for {
 		for ; i < len(p.keys); i++ {
 			if limit > 0 && visited >= limit {
-				settle(ch)
+				ch.Settle()
 				return nil
 			}
 			if !fn(p.keys[i], p.vals[i]) {
-				settle(ch)
+				ch.Settle()
 				return nil
 			}
 			visited++
 		}
 		if p.next == nilPage || (limit > 0 && visited >= limit) {
-			settle(ch)
+			ch.Settle()
 			return nil
 		}
 		if err := ch.Err(); err != nil {
-			abandon(ch)
+			ch.Abandon()
 			return err
 		}
 		p, err = t.fetch(p.next, ch)
 		if err != nil {
-			abandon(ch)
+			ch.Abandon()
 			return err
 		}
 		i = 0

@@ -37,7 +37,7 @@ func collectDeltas(head node, ch *sim.Charger) (map[string]*struct {
 	for {
 		switch v := n.(type) {
 		case *insertDelta:
-			chase(ch, 1)
+			ch.Chase(1)
 			if _, ok := seen[string(v.key)]; !ok {
 				seen[string(v.key)] = &struct {
 					val     []byte
@@ -46,7 +46,7 @@ func collectDeltas(head node, ch *sim.Charger) (map[string]*struct {
 			}
 			n = v.next
 		case *deleteDelta:
-			chase(ch, 1)
+			ch.Chase(1)
 			if _, ok := seen[string(v.key)]; !ok {
 				seen[string(v.key)] = &struct {
 					val     []byte
@@ -114,9 +114,7 @@ func applyOverlay(base *leafBase, ov map[string]*struct {
 		mergedV = append(mergedV, vals[i:]...)
 		keys, vals = merged, mergedV
 	}
-	if ch != nil {
-		ch.Compare(len(keys))
-	}
+	ch.Compare(len(keys))
 	return keys, vals
 }
 
@@ -444,7 +442,7 @@ func (t *Tree) splitIndex(pid mapping.PID, ch *sim.Charger) error {
 // Consolidate forces consolidation of the leaf owning key — exposed for
 // tests and experiments.
 func (t *Tree) Consolidate(key []byte) error {
-	ch := t.maintenanceCharger()
+	ch := t.cfg.Session.Begin()
 	leaf, _, _, err := t.descend(key, ch)
 	if err != nil {
 		abandonMaint(t, ch)

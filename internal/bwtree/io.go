@@ -455,7 +455,7 @@ func (t *Tree) FlushPage(pid mapping.PID) error {
 	if t.cfg.Store == nil {
 		return ErrNoStore
 	}
-	ch := t.maintenanceCharger()
+	ch := t.cfg.Session.Begin()
 	defer abandonMaint(t, ch)
 	for {
 		hdr := t.header(pid, ch)
@@ -507,7 +507,7 @@ func (t *Tree) FlushPage(pid mapping.PID) error {
 		// Full base flush: consolidate in memory first if needed.
 		base, ok := hdr.head.(*leafBase)
 		if !ok {
-			if err := t.consolidate(pid, t.maintenanceCharger()); err != nil && !errors.Is(err, errRetryConsolidate) {
+			if err := t.consolidate(pid, t.cfg.Session.Begin()); err != nil && !errors.Is(err, errRetryConsolidate) {
 				return err
 			}
 			continue

@@ -44,8 +44,8 @@ func (t *Tree) NewIterator(start []byte) *Iterator {
 
 // seekPage loads the page view owning key.
 func (it *Iterator) seekPage(key []byte) {
-	ch := it.t.begin()
-	defer settle(ch)
+	ch := it.t.cfg.Session.Begin()
+	defer ch.Settle()
 	leaf, hdr, _, err := it.t.descend(key, ch)
 	if err != nil {
 		it.err = err

@@ -17,23 +17,23 @@ import (
 // page is a consistent snapshot (delta chain applied); across pages the
 // scan is weakly consistent, like Bw-tree scans generally.
 func (t *Tree) Scan(start []byte, limit int, fn func(key, val []byte) bool) error {
-	return t.scan(start, limit, fn, t.begin())
+	return t.scan(start, limit, fn, t.cfg.Session.Begin())
 }
 
 // ScanCtx is Scan bounded by ctx: the context is checked between pages, so
 // a cancelled long scan stops loading evicted pages promptly.
 func (t *Tree) ScanCtx(ctx context.Context, start []byte, limit int, fn func(key, val []byte) bool) error {
-	return t.scan(start, limit, fn, t.beginCtx(ctx))
+	return t.scan(start, limit, fn, t.cfg.Session.Begin().WithContext(ctx))
 }
 
 func (t *Tree) scan(start []byte, limit int, fn func(key, val []byte) bool, ch *sim.Charger) (err error) {
 	sp := t.cfg.Obs.Start(obs.OpScan)
 	defer func() { sp.End(err) }()
 	if t.closed.Load() {
-		abandon(ch)
+		ch.Abandon()
 		return ErrClosed
 	}
-	defer settle(ch)
+	defer ch.Settle()
 	t.stats.Scans.Inc()
 
 	visited := 0
@@ -55,7 +55,7 @@ func (t *Tree) scan(start []byte, limit int, fn func(key, val []byte) bool, ch *
 			return err
 		}
 		i := sort.Search(len(keys), func(i int) bool { return bytes.Compare(keys[i], cur) >= 0 })
-		compare(ch, log2ceil(len(keys)))
+		ch.Compare(log2ceil(len(keys)))
 		for ; i < len(keys); i++ {
 			if limit > 0 && visited >= limit {
 				return nil

@@ -113,23 +113,6 @@ func (t *Tree) FootprintBytes() int64 { return t.mem.Load() }
 // RootPID exposes the root page id (for experiments and debugging).
 func (t *Tree) RootPID() mapping.PID { return t.root }
 
-func (t *Tree) begin() *sim.Charger {
-	if t.cfg.Session == nil {
-		return nil
-	}
-	return t.cfg.Session.Begin()
-}
-
-// beginCtx is begin with the operation's context bound to the charger, so
-// cancellation propagates down the I/O path even when no Session is
-// configured (a detached charger carries only the context then).
-func (t *Tree) beginCtx(ctx context.Context) *sim.Charger {
-	if t.cfg.Session == nil {
-		return sim.DetachedCharger(ctx)
-	}
-	return t.cfg.Session.Begin().WithContext(ctx)
-}
-
 func (t *Tree) now() float64 {
 	if t.cfg.Session == nil {
 		return 0
@@ -137,33 +120,9 @@ func (t *Tree) now() float64 {
 	return t.cfg.Session.Clock().Now()
 }
 
-func settle(ch *sim.Charger) {
-	if ch != nil {
-		ch.Settle()
-	}
-}
-
-func abandon(ch *sim.Charger) {
-	if ch != nil {
-		ch.Abandon()
-	}
-}
-
-func chase(ch *sim.Charger, n int) {
-	if ch != nil {
-		ch.Chase(n)
-	}
-}
-
-func compare(ch *sim.Charger, n int) {
-	if ch != nil {
-		ch.Compare(n)
-	}
-}
-
 // header returns the current mapping entry for pid.
 func (t *Tree) header(pid mapping.PID, ch *sim.Charger) *pageHeader {
-	chase(ch, 2) // mapping-table slot, then the header it points at
+	ch.Chase(2) // mapping-table slot, then the header it points at
 	h := t.table.Get(pid)
 	if h == nil {
 		panic(fmt.Sprintf("bwtree: dangling PID %d", pid))
@@ -201,7 +160,7 @@ func (t *Tree) descend(key []byte, ch *sim.Charger) (mapping.PID, *pageHeader, m
 		// B-link: if the key is beyond this page's range, go right. This
 		// handles splits whose parent update has not completed.
 		if !hdr.covers(key) {
-			compare(ch, 1)
+			ch.Compare(1)
 			pid = hdr.right
 			continue
 		}
@@ -215,7 +174,7 @@ func (t *Tree) descend(key []byte, ch *sim.Charger) (mapping.PID, *pageHeader, m
 		i := sort.Search(len(idx.keys), func(i int) bool {
 			return bytes.Compare(key, idx.keys[i]) < 0
 		})
-		compare(ch, log2ceil(len(idx.keys)))
+		ch.Compare(log2ceil(len(idx.keys)))
 		parent = pid
 		pid = idx.children[i]
 	}
@@ -244,15 +203,15 @@ func (t *Tree) chainSearch(hdr *pageHeader, key []byte, ch *sim.Charger) ([]byte
 	for {
 		switch v := n.(type) {
 		case *insertDelta:
-			compare(ch, 1)
-			chase(ch, 1)
+			ch.Compare(1)
+			ch.Chase(1)
 			if bytes.Equal(v.key, key) {
 				return v.val, true, nil
 			}
 			n = v.next
 		case *deleteDelta:
-			compare(ch, 1)
-			chase(ch, 1)
+			ch.Compare(1)
+			ch.Chase(1)
 			if bytes.Equal(v.key, key) {
 				return nil, false, nil
 			}
@@ -261,7 +220,7 @@ func (t *Tree) chainSearch(hdr *pageHeader, key []byte, ch *sim.Charger) ([]byte
 			i := sort.Search(len(v.keys), func(i int) bool {
 				return bytes.Compare(v.keys[i], key) >= 0
 			})
-			compare(ch, log2ceil(len(v.keys)))
+			ch.Compare(log2ceil(len(v.keys)))
 			if i < len(v.keys) && bytes.Equal(v.keys[i], key) {
 				return v.vals[i], true, nil
 			}
@@ -276,31 +235,31 @@ func (t *Tree) chainSearch(hdr *pageHeader, key []byte, ch *sim.Charger) ([]byte
 
 // Get returns the value for key.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	return t.get(key, t.begin())
+	return t.get(key, t.cfg.Session.Begin())
 }
 
 // GetCtx is Get bounded by ctx: page loads from the log store (and their
 // retry backoffs) abort promptly once ctx is cancelled or past deadline.
 func (t *Tree) GetCtx(ctx context.Context, key []byte) ([]byte, bool, error) {
-	return t.get(key, t.beginCtx(ctx))
+	return t.get(key, t.cfg.Session.Begin().WithContext(ctx))
 }
 
 func (t *Tree) get(key []byte, ch *sim.Charger) ([]byte, bool, error) {
 	sp := t.cfg.Obs.Start(obs.OpGet)
 	if t.closed.Load() {
-		abandon(ch)
+		ch.Abandon()
 		sp.End(ErrClosed)
 		return nil, false, ErrClosed
 	}
 	for {
 		if err := ch.Err(); err != nil {
-			abandon(ch)
+			ch.Abandon()
 			sp.End(err)
 			return nil, false, err
 		}
 		leaf, hdr, _, err := t.descend(key, ch)
 		if err != nil {
-			abandon(ch)
+			ch.Abandon()
 			sp.End(err)
 			return nil, false, err
 		}
@@ -308,10 +267,10 @@ func (t *Tree) get(key []byte, ch *sim.Charger) ([]byte, bool, error) {
 		val, found, serr := t.chainSearch(hdr, key, ch)
 		if serr == nil {
 			t.stats.Gets.Inc()
-			if found && ch != nil {
+			if found {
 				ch.Copy(len(val))
 			}
-			settle(ch)
+			ch.Settle()
 			sp.End(nil)
 			return val, found, nil
 		}
@@ -319,13 +278,13 @@ func (t *Tree) get(key []byte, ch *sim.Charger) ([]byte, bool, error) {
 		if errors.As(serr, &nl) {
 			sp.Miss() // the delta chain bottomed out in a flushed page
 			if err := t.loadPage(leaf, nl.ref, ch); err != nil {
-				abandon(ch)
+				ch.Abandon()
 				sp.End(err)
 				return nil, false, err
 			}
 			continue // retry with the loaded page
 		}
-		abandon(ch)
+		ch.Abandon()
 		sp.End(serr)
 		return nil, false, serr
 	}

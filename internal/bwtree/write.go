@@ -11,7 +11,7 @@ import (
 // Insert upserts key -> val by prepending an insert delta to the owning
 // leaf's chain with a single CAS — the Bw-tree's latch-free update.
 func (t *Tree) Insert(key, val []byte) error {
-	if err := t.write(key, val, false, false, t.begin()); err != nil {
+	if err := t.write(key, val, false, false, t.cfg.Session.Begin()); err != nil {
 		return err
 	}
 	t.stats.Inserts.Inc()
@@ -20,7 +20,7 @@ func (t *Tree) Insert(key, val []byte) error {
 
 // InsertCtx is Insert bounded by ctx.
 func (t *Tree) InsertCtx(ctx context.Context, key, val []byte) error {
-	if err := t.write(key, val, false, false, t.beginCtx(ctx)); err != nil {
+	if err := t.write(key, val, false, false, t.cfg.Session.Begin().WithContext(ctx)); err != nil {
 		return err
 	}
 	t.stats.Inserts.Inc()
@@ -29,7 +29,7 @@ func (t *Tree) InsertCtx(ctx context.Context, key, val []byte) error {
 
 // Delete removes key (idempotent: deleting an absent key succeeds).
 func (t *Tree) Delete(key []byte) error {
-	if err := t.write(key, nil, true, false, t.begin()); err != nil {
+	if err := t.write(key, nil, true, false, t.cfg.Session.Begin()); err != nil {
 		return err
 	}
 	t.stats.Deletes.Inc()
@@ -38,7 +38,7 @@ func (t *Tree) Delete(key []byte) error {
 
 // DeleteCtx is Delete bounded by ctx.
 func (t *Tree) DeleteCtx(ctx context.Context, key []byte) error {
-	if err := t.write(key, nil, true, false, t.beginCtx(ctx)); err != nil {
+	if err := t.write(key, nil, true, false, t.cfg.Session.Begin().WithContext(ctx)); err != nil {
 		return err
 	}
 	t.stats.Deletes.Inc()
@@ -49,7 +49,7 @@ func (t *Tree) DeleteCtx(ctx context.Context, key []byte) error {
 // be in main memory (paper Section 6.2): if the base is evicted, the delta
 // is prepended above the diskRef and no read I/O occurs.
 func (t *Tree) BlindWrite(key, val []byte) error {
-	if err := t.write(key, val, false, true, t.begin()); err != nil {
+	if err := t.write(key, val, false, true, t.cfg.Session.Begin()); err != nil {
 		return err
 	}
 	t.stats.BlindWrites.Inc()
@@ -58,7 +58,7 @@ func (t *Tree) BlindWrite(key, val []byte) error {
 
 // BlindWriteCtx is BlindWrite bounded by ctx.
 func (t *Tree) BlindWriteCtx(ctx context.Context, key, val []byte) error {
-	if err := t.write(key, val, false, true, t.beginCtx(ctx)); err != nil {
+	if err := t.write(key, val, false, true, t.cfg.Session.Begin().WithContext(ctx)); err != nil {
 		return err
 	}
 	t.stats.BlindWrites.Inc()
@@ -82,23 +82,23 @@ func (t *Tree) write(key, val []byte, isDelete, blind bool, ch *sim.Charger) (er
 	sp := t.cfg.Obs.Start(op)
 	defer func() { sp.End(err) }()
 	if t.closed.Load() {
-		abandon(ch)
+		ch.Abandon()
 		return ErrClosed
 	}
 	key = cloneBytes(key)
 	val = cloneBytes(val)
 	for attempt := 0; ; attempt++ {
 		if attempt > 1<<16 {
-			abandon(ch)
+			ch.Abandon()
 			return errors.New("bwtree: write live-locked")
 		}
 		if err := ch.Err(); err != nil {
-			abandon(ch) // cancelled before the delta was installed
+			ch.Abandon() // cancelled before the delta was installed
 			return err
 		}
 		leaf, hdr, parent, err := t.descend(key, ch)
 		if err != nil {
-			abandon(ch)
+			ch.Abandon()
 			return err
 		}
 		// A non-blind write of a fully evicted page is still prepended as a
@@ -119,19 +119,17 @@ func (t *Tree) write(key, val []byte, isDelete, blind bool, ch *sim.Charger) (er
 		nh.unflushed = hdr.unflushed + 1
 		nh.memBytes = hdr.memBytes + deltaBytes
 		nh.lastAccess = t.now()
-		if ch != nil {
-			ch.Copy(len(key) + len(val))
-		}
+		ch.Copy(len(key) + len(val))
 		if !t.install(leaf, hdr, &nh) {
 			continue // chain changed under us; retry
 		}
-		settle(ch)
+		ch.Settle()
 		// Maintenance outside the charged operation: consolidate long
 		// chains (and split oversized pages). Blind writes skip
 		// consolidation when the base is not resident — that is the whole
 		// point of a blind update.
 		if nh.chainLen >= t.cfg.ConsolidateAfter {
-			mch := t.maintenanceCharger()
+			mch := t.cfg.Session.Begin()
 			if _, isDisk := chainBottom(nh.head).(*diskRef); !isDisk || !blind {
 				if err := t.consolidate(leaf, mch); err != nil && !errors.Is(err, errRetryConsolidate) {
 					return err
@@ -141,15 +139,6 @@ func (t *Tree) write(key, val []byte, isDelete, blind bool, ch *sim.Charger) (er
 		}
 		return nil
 	}
-}
-
-// maintenanceCharger attributes background work (consolidation, splits,
-// flushes) as additional cost without counting extra operations.
-func (t *Tree) maintenanceCharger() *sim.Charger {
-	if t.cfg.Session == nil {
-		return nil
-	}
-	return t.cfg.Session.Begin()
 }
 
 // chainBottom returns the terminal node of a delta chain (a base page or

@@ -106,16 +106,11 @@ func (p *PageStore) Stats() *Stats { return &p.stats }
 
 // WritePage compresses and stores a page (superseding any prior version).
 func (p *PageStore) WritePage(id uint64, data []byte) error {
-	var ch *sim.Charger
-	if p.session != nil {
-		ch = p.session.Begin()
-		ch.Add(ch.Profile().CompressPerByte * sim.Cost(len(data)))
-	}
+	ch := p.session.Begin()
+	ch.Add(ch.Profile().CompressPerByte * sim.Cost(len(data)))
 	comp, err := Compress(data, p.level)
 	if err != nil {
-		if ch != nil {
-			ch.Abandon()
-		}
+		ch.Abandon()
 		return err
 	}
 	p.mu.Lock()
@@ -123,9 +118,7 @@ func (p *PageStore) WritePage(id uint64, data []byte) error {
 	p.tail += int64(len(comp))
 	p.mu.Unlock()
 	if err := p.dev.WriteAt(off, comp, ch); err != nil {
-		if ch != nil {
-			ch.Abandon()
-		}
+		ch.Abandon()
 		return err
 	}
 	p.mu.Lock()
@@ -134,10 +127,8 @@ func (p *PageStore) WritePage(id uint64, data []byte) error {
 	p.stats.PagesWritten.Inc()
 	p.stats.BytesUncompressed.Add(int64(len(data)))
 	p.stats.BytesCompressed.Add(int64(len(comp)))
-	if ch != nil {
-		ch.Escalate(sim.OpCSS)
-		ch.Settle()
-	}
+	ch.Escalate(sim.OpCSS)
+	ch.Settle()
 	return nil
 }
 
@@ -149,30 +140,21 @@ func (p *PageStore) ReadPage(id uint64) ([]byte, error) {
 	if !ok {
 		return nil, ErrNoPage
 	}
-	var ch *sim.Charger
-	if p.session != nil {
-		ch = p.session.Begin()
-	}
+	ch := p.session.Begin()
 	raw, err := p.dev.ReadAt(ext.off, int(ext.clen), ch)
 	if err != nil {
-		if ch != nil {
-			ch.Abandon()
-		}
+		ch.Abandon()
 		return nil, err
 	}
 	out, err := Decompress(raw, int(ext.origSize))
 	if err != nil {
-		if ch != nil {
-			ch.Abandon()
-		}
+		ch.Abandon()
 		return nil, err
 	}
 	p.stats.PagesRead.Inc()
-	if ch != nil {
-		ch.Add(ch.Profile().DecompressPerByte * sim.Cost(len(out)))
-		ch.Escalate(sim.OpCSS)
-		ch.Settle()
-	}
+	ch.Add(ch.Profile().DecompressPerByte * sim.Cost(len(out)))
+	ch.Escalate(sim.OpCSS)
+	ch.Settle()
 	return out, nil
 }
 

@@ -253,9 +253,7 @@ func (s *Store) Append(pid uint64, kind Kind, payload []byte, ch *sim.Charger) (
 	if err := ch.Err(); err != nil {
 		return Address{}, err // cancelled before any state changed
 	}
-	if ch != nil {
-		ch.Copy(len(payload)) // staging the payload into the write buffer
-	}
+	ch.Copy(len(payload)) // staging the payload into the write buffer
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -393,9 +391,7 @@ func (s *Store) Read(addr Address, ch *sim.Charger) (_ Record, err error) {
 		copy(raw, s.buf[rel:rel+int64(total)])
 		s.mu.Unlock()
 		s.stats.BufferHits.Inc()
-		if ch != nil {
-			ch.Copy(total)
-		}
+		ch.Copy(total)
 		return decode(raw, addr.Len)
 	}
 	s.mu.Unlock()
@@ -405,9 +401,7 @@ func (s *Store) Read(addr Address, ch *sim.Charger) (_ Record, err error) {
 	if err != nil {
 		return Record{}, err
 	}
-	if ch != nil {
-		ch.Add(ch.Profile().PageDeserialize)
-	}
+	ch.Add(ch.Profile().PageDeserialize)
 	rec, err := decode(raw, addr.Len)
 	if err != nil {
 		// The device transfer succeeded but the payload is garbage: the
@@ -621,9 +615,7 @@ func (s *Store) CollectSegment(relocate func(rec Record, old Address) bool, ch *
 		}
 		off += headerSize + plen
 	}
-	if ch != nil {
-		ch.Copy(int(relocated))
-	}
+	ch.Copy(int(relocated))
 
 	if err := s.cfg.Device.Trim(segOff, s.cfg.SegmentBytes); err != nil {
 		return 0, fmt.Errorf("logstore: trim segment %d: %w", victim, err)

@@ -129,9 +129,7 @@ func (m *mergeIter) next() (kv, bool, error) {
 				best = i
 			}
 		}
-		if m.ch != nil {
-			m.ch.Compare(len(m.heads))
-		}
+		m.ch.Compare(len(m.heads))
 		e, err := m.srcs[best].entry()
 		if err != nil {
 			return kv{}, false, err

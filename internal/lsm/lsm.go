@@ -123,49 +123,26 @@ func (t *Tree) attachDeviceHealth() {
 // Stats returns the tree's counters.
 func (t *Tree) Stats() *Stats { return &t.stats }
 
-func (t *Tree) begin() *sim.Charger {
-	if t.cfg.Session == nil {
-		return nil
-	}
-	return t.cfg.Session.Begin()
-}
-
-// beginCtx is begin with the operation's context bound to the charger, so
-// cancellation propagates into table I/O and retry backoffs even when no
-// Session is configured.
-func (t *Tree) beginCtx(ctx context.Context) *sim.Charger {
-	if t.cfg.Session == nil {
-		return sim.DetachedCharger(ctx)
-	}
-	return t.cfg.Session.Begin().WithContext(ctx)
-}
-
-func settle(ch *sim.Charger) {
-	if ch != nil {
-		ch.Settle()
-	}
-}
-
 // Put inserts or overwrites key -> val. Like all LSM updates it is blind:
 // no secondary storage is read (paper Section 6.2).
 func (t *Tree) Put(key, val []byte) error {
-	return t.write(append([]byte(nil), key...), append([]byte(nil), val...), false, t.begin())
+	return t.write(append([]byte(nil), key...), append([]byte(nil), val...), false, t.cfg.Session.Begin())
 }
 
 // PutCtx is Put bounded by ctx: a triggered memtable flush (and its retry
 // backoff) aborts promptly when ctx is cancelled.
 func (t *Tree) PutCtx(ctx context.Context, key, val []byte) error {
-	return t.write(append([]byte(nil), key...), append([]byte(nil), val...), false, t.beginCtx(ctx))
+	return t.write(append([]byte(nil), key...), append([]byte(nil), val...), false, t.cfg.Session.Begin().WithContext(ctx))
 }
 
 // Delete removes key by writing a tombstone (also blind).
 func (t *Tree) Delete(key []byte) error {
-	return t.write(append([]byte(nil), key...), nil, true, t.begin())
+	return t.write(append([]byte(nil), key...), nil, true, t.cfg.Session.Begin())
 }
 
 // DeleteCtx is Delete bounded by ctx.
 func (t *Tree) DeleteCtx(ctx context.Context, key []byte) error {
-	return t.write(append([]byte(nil), key...), nil, true, t.beginCtx(ctx))
+	return t.write(append([]byte(nil), key...), nil, true, t.cfg.Session.Begin().WithContext(ctx))
 }
 
 func (t *Tree) write(key, val []byte, tombstone bool, ch *sim.Charger) error {
@@ -184,9 +161,7 @@ func (t *Tree) write(key, val []byte, tombstone bool, ch *sim.Charger) error {
 	}
 	t.mu.Lock()
 	t.mem.put(key, val, tombstone, ch)
-	if ch != nil {
-		ch.Copy(len(key) + len(val))
-	}
+	ch.Copy(len(key) + len(val))
 	var err error
 	if t.mem.bytes >= t.cfg.MemtableBytes {
 		sp.Miss() // this write pays for the synchronous flush I/O
@@ -198,7 +173,7 @@ func (t *Tree) write(key, val []byte, tombstone bool, ch *sim.Charger) error {
 	} else {
 		t.stats.Puts.Inc()
 	}
-	settle(ch)
+	ch.Settle()
 	sp.End(err)
 	return err
 }
@@ -294,16 +269,14 @@ func (t *Tree) flushLocked(ch *sim.Charger) error {
 
 // Flush forces the memtable out (exposed for tests and checkpoints).
 func (t *Tree) Flush() error {
-	ch := t.begin()
+	ch := t.cfg.Session.Begin()
 	t.mu.Lock()
 	err := t.flushLocked(ch)
 	t.mu.Unlock()
-	if ch != nil {
-		if err != nil {
-			ch.Abandon()
-		} else {
-			ch.Settle()
-		}
+	if err != nil {
+		ch.Abandon()
+	} else {
+		ch.Settle()
 	}
 	return err
 }
@@ -311,13 +284,13 @@ func (t *Tree) Flush() error {
 // Get returns the value for key, searching memtable, then L0 newest-first,
 // then one candidate table per deeper level.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	return t.get(key, t.begin())
+	return t.get(key, t.cfg.Session.Begin())
 }
 
 // GetCtx is Get bounded by ctx: table reads and their retry backoffs abort
 // promptly once ctx is cancelled or past deadline.
 func (t *Tree) GetCtx(ctx context.Context, key []byte) ([]byte, bool, error) {
-	return t.get(key, t.beginCtx(ctx))
+	return t.get(key, t.cfg.Session.Begin().WithContext(ctx))
 }
 
 func (t *Tree) get(key []byte, ch *sim.Charger) (_ []byte, _ bool, err error) {
@@ -330,7 +303,7 @@ func (t *Tree) get(key []byte, ch *sim.Charger) (_ []byte, _ bool, err error) {
 	defer func() {
 		t.mu.RUnlock()
 		t.stats.Gets.Inc()
-		settle(ch)
+		ch.Settle()
 		sp.End(err)
 	}()
 	if v, tomb, found := t.mem.get(key, ch); found {
@@ -369,9 +342,7 @@ func (t *Tree) get(key []byte, ch *sim.Charger) (_ []byte, _ bool, err error) {
 // pair, binary search of the resident index, then one device read for the
 // record.
 func (t *Tree) tableGet(tbl *sstable, key []byte, h1, h2 uint64, ch *sim.Charger, sp *obs.Span) (kv, bool, error) {
-	if ch != nil {
-		ch.Hash()
-	}
+	ch.Hash()
 	if !tbl.filter.mayContain(h1, h2) {
 		t.stats.BloomSkips.Inc()
 		return kv{}, false, nil
@@ -379,9 +350,7 @@ func (t *Tree) tableGet(tbl *sstable, key []byte, h1, h2 uint64, ch *sim.Charger
 	t.stats.TableReads.Inc()
 	sp.Miss() // bloom filter passed: this lookup reads the table on device
 	i := tbl.search(key)
-	if ch != nil {
-		ch.Compare(ilog2(tbl.entries()))
-	}
+	ch.Compare(ilog2(tbl.entries()))
 	if i >= tbl.entries() || !bytes.Equal(tbl.key(i), key) {
 		return kv{}, false, nil
 	}
@@ -550,13 +519,13 @@ func (t *Tree) compactLocked(lvl int, ch *sim.Charger) error {
 // tables, until fn returns false or limit pairs are visited (limit <= 0
 // means unlimited). It holds a shared lock for a consistent snapshot.
 func (t *Tree) Scan(start []byte, limit int, fn func(k, v []byte) bool) error {
-	return t.scan(start, limit, fn, t.begin())
+	return t.scan(start, limit, fn, t.cfg.Session.Begin())
 }
 
 // ScanCtx is Scan bounded by ctx: the context aborts table reads between
 // levels, so a cancelled scan stops issuing large sequential I/Os.
 func (t *Tree) ScanCtx(ctx context.Context, start []byte, limit int, fn func(k, v []byte) bool) error {
-	return t.scan(start, limit, fn, t.beginCtx(ctx))
+	return t.scan(start, limit, fn, t.cfg.Session.Begin().WithContext(ctx))
 }
 
 func (t *Tree) scan(start []byte, limit int, fn func(k, v []byte) bool, ch *sim.Charger) (err error) {
@@ -569,7 +538,7 @@ func (t *Tree) scan(start []byte, limit int, fn func(k, v []byte) bool, ch *sim.
 	defer func() {
 		t.mu.RUnlock()
 		t.stats.Scans.Inc()
-		settle(ch)
+		ch.Settle()
 		sp.End(err)
 	}()
 

@@ -61,10 +61,8 @@ func (m *memtable) put(key, val []byte, tombstone bool, ch *sim.Charger) {
 	for lvl := maxSkipHeight - 1; lvl >= 0; lvl-- {
 		for x.next[lvl] != nil && bytes.Compare(x.next[lvl].key, key) < 0 {
 			x = x.next[lvl]
-			if ch != nil {
-				ch.Chase(1)
-				ch.Compare(1)
-			}
+			ch.Chase(1)
+			ch.Compare(1)
 		}
 		prev[lvl] = x
 	}
@@ -89,16 +87,12 @@ func (m *memtable) get(key []byte, ch *sim.Charger) ([]byte, bool, bool) {
 	for lvl := maxSkipHeight - 1; lvl >= 0; lvl-- {
 		for x.next[lvl] != nil && bytes.Compare(x.next[lvl].key, key) < 0 {
 			x = x.next[lvl]
-			if ch != nil {
-				ch.Chase(1)
-				ch.Compare(1)
-			}
+			ch.Chase(1)
+			ch.Compare(1)
 		}
 	}
 	if e := x.next[0]; e != nil && bytes.Equal(e.key, key) {
-		if ch != nil {
-			ch.Compare(1)
-		}
+		ch.Compare(1)
 		return e.val, e.tombstone, true
 	}
 	return nil, false, false

@@ -156,40 +156,19 @@ func (t *Tree) Len() int { return int(t.count.Load()) }
 // numerator of paper Section 5.1.
 func (t *Tree) FootprintBytes() int64 { return t.mem.Load() }
 
-func (t *Tree) begin() *sim.Charger {
-	if t.session == nil {
-		return nil
-	}
-	return t.session.Begin()
-}
-
-func chase(ch *sim.Charger, n int) {
-	if ch != nil {
-		ch.Chase(n)
-	}
-}
-
-func compare(ch *sim.Charger, n int) {
-	if ch != nil {
-		ch.Compare(n)
-	}
-}
-
 // Get returns the value stored for key.
 func (t *Tree) Get(key []byte) ([]byte, bool) {
 	sp := t.obs.Start(obs.OpGet)
 	defer sp.End(nil)
-	ch := t.begin()
+	ch := t.session.Begin()
 	t.mu.RLock()
 	val, ok := t.top.get(key, ch)
 	t.mu.RUnlock()
 	t.stats.Gets.Inc()
-	if ch != nil {
-		if ok {
-			ch.Copy(len(val))
-		}
-		ch.Settle()
+	if ok {
+		ch.Copy(len(val))
 	}
+	ch.Settle()
 	return val, ok
 }
 
@@ -202,10 +181,10 @@ func (l *layer) get(key []byte, ch *sim.Charger) ([]byte, bool) {
 	}
 	e := &b.entries[i]
 	if e.link != nil {
-		chase(ch, 1)
+		ch.Chase(1)
 		return e.link.get(rest, ch)
 	}
-	compare(ch, 1)
+	ch.Compare(1)
 	if !bytes.Equal(e.suffix, rest) {
 		return nil, false
 	}
@@ -223,8 +202,8 @@ func (l *layer) descend(sk slicedKey, ch *sim.Charger) *border {
 			i := sort.Search(len(v.keys), func(i int) bool { return sk.less(v.keys[i]) })
 			// Cache-crafted node: fixed-fanout uint64 keyslice search within
 			// prefetched cache lines (the masstree design point).
-			compare(ch, 1)
-			chase(ch, 1)
+			ch.Compare(1)
+			ch.Chase(1)
 			n = v.children[i]
 		}
 	}
@@ -233,7 +212,7 @@ func (l *layer) descend(sk slicedKey, ch *sim.Charger) *border {
 // search returns the index of the entry matching sk, or -1.
 func (b *border) search(sk slicedKey, ch *sim.Charger) int {
 	i := sort.Search(len(b.entries), func(i int) bool { return !b.entries[i].key.less(sk) })
-	compare(ch, 2)
+	ch.Compare(2)
 	if i < len(b.entries) && b.entries[i].key.equal(sk) {
 		return i
 	}
@@ -246,7 +225,7 @@ func (t *Tree) Put(key, val []byte) {
 	defer sp.End(nil)
 	key = append([]byte(nil), key...)
 	val = append([]byte(nil), val...)
-	ch := t.begin()
+	ch := t.session.Begin()
 	t.mu.Lock()
 	added, memDelta := t.top.put(key, val, ch, &t.stats)
 	t.mu.Unlock()
@@ -255,10 +234,8 @@ func (t *Tree) Put(key, val []byte) {
 	if added {
 		t.count.Add(1)
 	}
-	if ch != nil {
-		ch.Copy(len(key) + len(val))
-		ch.Settle()
-	}
+	ch.Copy(len(key) + len(val))
+	ch.Settle()
 }
 
 // put returns (newKey, memoryDelta).
@@ -269,7 +246,7 @@ func (l *layer) put(key, val []byte, ch *sim.Charger, st *Stats) (bool, int) {
 	if i >= 0 {
 		e := &b.entries[i]
 		if e.link != nil {
-			chase(ch, 1)
+			ch.Chase(1)
 			return e.link.put(rest, val, ch, st)
 		}
 		if bytes.Equal(e.suffix, rest) {
@@ -313,7 +290,7 @@ func insertRec(n node, ne entry, ch *sim.Charger, st *Stats, grown *int) (bool, 
 	switch v := n.(type) {
 	case *border:
 		i := sort.Search(len(v.entries), func(i int) bool { return !v.entries[i].key.less(ne.key) })
-		compare(ch, 4)
+		ch.Compare(4)
 		v.entries = append(v.entries, entry{})
 		copy(v.entries[i+1:], v.entries[i:])
 		v.entries[i] = ne
@@ -328,8 +305,8 @@ func insertRec(n node, ne entry, ch *sim.Charger, st *Stats, grown *int) (bool, 
 		return true, right.entries[0].key, right
 	case *interior:
 		i := sort.Search(len(v.keys), func(i int) bool { return ne.key.less(v.keys[i]) })
-		compare(ch, 4)
-		chase(ch, 1)
+		ch.Compare(4)
+		ch.Chase(1)
 		split, sep, right := insertRec(v.children[i], ne, ch, st, grown)
 		if !split {
 			return false, slicedKey{}, nil
@@ -364,7 +341,7 @@ func insertRec(n node, ne entry, ch *sim.Charger, st *Stats, grown *int) (bool, 
 func (t *Tree) Delete(key []byte) bool {
 	sp := t.obs.Start(obs.OpDelete)
 	defer sp.End(nil)
-	ch := t.begin()
+	ch := t.session.Begin()
 	t.mu.Lock()
 	removed, memDelta := t.top.del(key, ch)
 	t.mu.Unlock()
@@ -373,9 +350,7 @@ func (t *Tree) Delete(key []byte) bool {
 	if removed {
 		t.count.Add(-1)
 	}
-	if ch != nil {
-		ch.Settle()
-	}
+	ch.Settle()
 	return removed
 }
 
@@ -388,7 +363,7 @@ func (l *layer) del(key []byte, ch *sim.Charger) (bool, int) {
 	}
 	e := &b.entries[i]
 	if e.link != nil {
-		chase(ch, 1)
+		ch.Chase(1)
 		removed, delta := e.link.del(rest, ch)
 		if removed && e.link.empty() {
 			delta -= layerOverhead + borderOverhead
@@ -397,7 +372,7 @@ func (l *layer) del(key []byte, ch *sim.Charger) (bool, int) {
 		}
 		return removed, delta
 	}
-	compare(ch, 1)
+	ch.Compare(1)
 	if !bytes.Equal(e.suffix, rest) {
 		return false, 0
 	}

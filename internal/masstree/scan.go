@@ -15,15 +15,13 @@ import (
 func (t *Tree) Scan(start []byte, limit int, fn func(key, val []byte) bool) {
 	sp := t.obs.Start(obs.OpScan)
 	defer sp.End(nil)
-	ch := t.begin()
+	ch := t.session.Begin()
 	t.mu.RLock()
 	visited := 0
 	t.top.scan(nil, start, limit, &visited, fn, ch)
 	t.mu.RUnlock()
 	t.stats.Scans.Inc()
-	if ch != nil {
-		ch.Settle()
-	}
+	ch.Settle()
 }
 
 // scan walks the layer in order. prefix is the key bytes consumed by outer
@@ -43,10 +41,10 @@ func scanNode(n node, prefix, start []byte, startSK slicedKey, limit int, visite
 		i := 0
 		if len(start) > 0 {
 			i = sort.Search(len(v.keys), func(i int) bool { return startSK.less(v.keys[i]) })
-			compare(ch, 4)
+			ch.Compare(4)
 		}
 		for ; i < len(v.children); i++ {
-			chase(ch, 1)
+			ch.Chase(1)
 			if !scanNode(v.children[i], prefix, start, startSK, limit, visited, fn, ch) {
 				return false
 			}

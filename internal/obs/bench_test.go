@@ -18,7 +18,6 @@ func TestDisabledSpanPathAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		sp := tr.Start(obs.OpGet)
 		sp.Miss()
-		sp.Bytes(64, 0)
 		sp.End(nil)
 	})
 	if allocs != 0 {

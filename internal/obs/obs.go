@@ -72,9 +72,6 @@ type opMeter struct {
 	canceled atomic.Int64
 	hits     atomic.Int64 // ops served without touching secondary storage
 	misses   atomic.Int64 // ops that synchronously touched secondary storage
-	bytesR   atomic.Int64
-	bytesW   atomic.Int64
-	retries  atomic.Int64
 }
 
 // ioMeter accumulates device-level accounting delivered via ObserveIO.
@@ -103,7 +100,6 @@ type Tracer struct {
 	io ioMeter
 
 	mu       sync.Mutex
-	ioStats  []*metrics.IOStats
 	retries  []*metrics.RetryStats
 	healths  []*metrics.Health
 	mirrors  []*metrics.MirrorStats
@@ -130,13 +126,10 @@ func (t *Tracer) Name() string {
 // nil tracer) is valid and every method on it is a no-op, so instrumented
 // code needs no enabled-checks.
 type Span struct {
-	tr      *Tracer
-	op      Op
-	t0      time.Time
-	miss    bool
-	bytesR  int64
-	bytesW  int64
-	retries int64
+	tr   *Tracer
+	op   Op
+	t0   time.Time
+	miss bool
 }
 
 // Start begins a span for op. On a nil tracer it returns the zero Span and
@@ -148,22 +141,10 @@ func (t *Tracer) Start(op Op) Span {
 	return Span{tr: t, op: op, t0: time.Now()}
 }
 
-// Enabled reports whether the span is actually recording.
-func (s *Span) Enabled() bool { return s.tr != nil }
-
 // Miss marks the operation as having synchronously touched secondary
 // storage (a cache/buffer-pool miss, a forced flush, a log-structured
 // page load). Unmarked spans count as hits: pure main-memory operations.
 func (s *Span) Miss() { s.miss = true }
-
-// Bytes attributes payload bytes moved on behalf of this operation.
-func (s *Span) Bytes(read, written int) {
-	s.bytesR += int64(read)
-	s.bytesW += int64(written)
-}
-
-// Retries records device-level retry attempts absorbed by this operation.
-func (s *Span) Retries(n int) { s.retries += int64(n) }
 
 // End finishes the span, classifying the outcome from err: nil is OK,
 // context deadline/cancel map to timeout/canceled, anything else is an
@@ -203,13 +184,6 @@ func (s *Span) EndOutcome(o Outcome) {
 	case OutcomeCanceled:
 		m.canceled.Add(1)
 	}
-	if s.bytesR != 0 || s.bytesW != 0 {
-		m.bytesR.Add(s.bytesR)
-		m.bytesW.Add(s.bytesW)
-	}
-	if s.retries != 0 {
-		m.retries.Add(s.retries)
-	}
 
 	t.lat.Observe(lat)
 	// Hit/miss (and the split latency histograms feeding measured R and
@@ -242,9 +216,6 @@ func (t *Tracer) Reset() {
 		m.canceled.Store(0)
 		m.hits.Store(0)
 		m.misses.Store(0)
-		m.bytesR.Store(0)
-		m.bytesW.Store(0)
-		m.retries.Store(0)
 	}
 	t.lat.reset()
 	t.hitLat.reset()
@@ -276,18 +247,6 @@ func (t *Tracer) ObserveIO(write bool, bytes int, busySec float64, failed bool) 
 		t.io.bytesR.Add(int64(bytes))
 	}
 	t.io.busyNanos.Add(int64(busySec * 1e9))
-}
-
-// FoldIOStats attaches an existing ad-hoc counter block; its values are
-// folded into snapshots (used when a store is not wired to a device
-// observer, e.g. pure in-memory stores tracking cache counters).
-func (t *Tracer) FoldIOStats(s *metrics.IOStats) {
-	if t == nil || s == nil {
-		return
-	}
-	t.mu.Lock()
-	t.ioStats = append(t.ioStats, s)
-	t.mu.Unlock()
 }
 
 // FoldRetries attaches a RetryStats block to fold into snapshots.

@@ -105,8 +105,7 @@ type CostSnapshot struct {
 	R    float64
 	PF   float64
 
-	// Physical device accounting (from the device observer when wired,
-	// else folded from attached metrics.IOStats).
+	// Physical device accounting (from the device observer).
 	DeviceReads  int64
 	DeviceWrites int64
 	FailedIOs    int64 // failed physical attempts (counted, but no bytes)
@@ -212,9 +211,7 @@ func (t *Tracer) Snapshot() CostSnapshot {
 		s.PF = core.MixedThroughput(s.ROPS, s.F, r)
 	}
 
-	// Device accounting: prefer the observer feed; fall back to folded
-	// IOStats when no observer events arrived (pure in-memory stores, or
-	// stores metered only through legacy counters).
+	// Device accounting: the observer feed.
 	s.DeviceReads = t.io.reads.Load()
 	s.DeviceWrites = t.io.writes.Load()
 	s.FailedIOs = t.io.failed.Load()
@@ -224,7 +221,6 @@ func (t *Tracer) Snapshot() CostSnapshot {
 	s.DeviceBusy = busy
 
 	t.mu.Lock()
-	ioStats := append([]*metrics.IOStats(nil), t.ioStats...)
 	retries := append([]*metrics.RetryStats(nil), t.retries...)
 	healths := append([]*metrics.Health(nil), t.healths...)
 	mirrors := append([]*metrics.MirrorStats(nil), t.mirrors...)
@@ -232,15 +228,6 @@ func (t *Tracer) Snapshot() CostSnapshot {
 	limiters := append([]*metrics.LimiterStats(nil), t.limiters...)
 	t.mu.Unlock()
 
-	if s.DeviceReads+s.DeviceWrites+s.FailedIOs == 0 {
-		for _, io := range ioStats {
-			s.DeviceReads += io.Reads.Value()
-			s.DeviceWrites += io.Writes.Value()
-			s.FailedIOs += io.FailedReads.Value() + io.FailedWrites.Value()
-			s.BytesRead += io.BytesRead.Value()
-			s.BytesWritten += io.BytesWritten.Value()
-		}
-	}
 	for _, r := range retries {
 		s.RetryAttempts += r.Attempts.Value()
 		s.Retries += r.Retries.Value()

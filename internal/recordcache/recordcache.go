@@ -4,14 +4,10 @@
 // T_i of Equation 6 by the same factor, widening the access-frequency
 // range where main-memory operations are the cheaper choice.
 //
-// Two structures are provided, mirroring Deuteronomy's transaction
-// component (Figure 6):
-//
-//   - Ring: a log-structured read cache. Records read from the data
-//     component are appended to a fixed-size ring; when the ring wraps,
-//     the oldest records are dropped. A hash index finds live records.
-//   - LRU: a byte-budgeted least-recently-used record cache, used where
-//     exact recency matters (and as an ablation comparator for Ring).
+// Ring is the read cache of Deuteronomy's transaction component (Figure
+// 6): a log-structured cache. Records read from the data component are
+// appended to a fixed-size ring; when the ring wraps, the oldest records
+// are dropped. A hash index finds live records.
 package recordcache
 
 import (
@@ -28,15 +24,6 @@ type Stats struct {
 	Misses    metrics.Counter
 	Inserts   metrics.Counter
 	Evictions metrics.Counter
-}
-
-// HitRatio returns hits / (hits + misses), or 0 when empty.
-func (s *Stats) HitRatio() float64 {
-	h, m := s.Hits.Value(), s.Misses.Value()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }
 
 // Ring is a log-structured read cache: appends go to a rolling byte
@@ -135,96 +122,4 @@ func (r *Ring) UsedBytes() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.used
-}
-
-// LRU is a byte-budgeted least-recently-used record cache. Safe for
-// concurrent use.
-type LRU struct {
-	mu     sync.Mutex
-	budget int64
-	used   int64
-	order  *list.List // front = most recent
-	index  map[string]*list.Element
-	stats  Stats
-}
-
-// NewLRU creates an LRU cache with the given byte budget.
-func NewLRU(budgetBytes int64) (*LRU, error) {
-	if budgetBytes <= 0 {
-		return nil, errors.New("recordcache: non-positive budget")
-	}
-	return &LRU{
-		budget: budgetBytes,
-		order:  list.New(),
-		index:  make(map[string]*list.Element),
-	}, nil
-}
-
-// Stats returns the cache's counters.
-func (c *LRU) Stats() *Stats { return &c.stats }
-
-// Add inserts or refreshes a record.
-func (c *LRU) Add(key, val []byte) {
-	sz := int64(len(key) + len(val) + 64)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.index[string(key)]; ok {
-		e := el.Value.(*ringEntry)
-		c.used += int64(len(val)) - int64(len(e.val))
-		e.val = append([]byte(nil), val...)
-		c.order.MoveToFront(el)
-	} else {
-		el := c.order.PushFront(&ringEntry{key: string(key), val: append([]byte(nil), val...)})
-		c.index[string(key)] = el
-		c.used += sz
-	}
-	c.stats.Inserts.Inc()
-	for c.used > c.budget && c.order.Len() > 1 {
-		back := c.order.Back()
-		e := back.Value.(*ringEntry)
-		c.order.Remove(back)
-		delete(c.index, e.key)
-		c.used -= int64(len(e.key) + len(e.val) + 64)
-		c.stats.Evictions.Inc()
-	}
-}
-
-// Get returns the cached record, promoting it on a hit.
-func (c *LRU) Get(key []byte) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.index[string(key)]
-	if !ok {
-		c.stats.Misses.Inc()
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	c.stats.Hits.Inc()
-	return el.Value.(*ringEntry).val, true
-}
-
-// Invalidate removes a record.
-func (c *LRU) Invalidate(key []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.index[string(key)]; ok {
-		e := el.Value.(*ringEntry)
-		c.order.Remove(el)
-		delete(c.index, e.key)
-		c.used -= int64(len(e.key) + len(e.val) + 64)
-	}
-}
-
-// Len returns the number of cached records.
-func (c *LRU) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// UsedBytes returns current byte usage.
-func (c *LRU) UsedBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
 }

@@ -74,68 +74,17 @@ func TestRingHitDoesNotPromote(t *testing.T) {
 	}
 }
 
-func TestLRUPromotesOnHit(t *testing.T) {
-	c, err := NewLRU(3 * 75)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Add([]byte("a"), []byte("1"))
-	c.Add([]byte("b"), []byte("2"))
-	c.Get([]byte("a")) // promote
-	c.Add([]byte("c"), []byte("3"))
-	c.Add([]byte("d"), []byte("4"))
-	if _, ok := c.Get([]byte("a")); !ok {
-		t.Fatal("promoted record evicted")
-	}
-	if _, ok := c.Get([]byte("b")); ok {
-		t.Fatal("LRU victim survived")
-	}
-}
-
-func TestLRUOverwriteAdjustsBytes(t *testing.T) {
-	c, err := NewLRU(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Add([]byte("k"), make([]byte, 100))
-	u1 := c.UsedBytes()
-	c.Add([]byte("k"), make([]byte, 10))
-	if c.UsedBytes() >= u1 {
-		t.Fatalf("used %d -> %d, want shrink after smaller overwrite", u1, c.UsedBytes())
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-}
-
-func TestHitRatio(t *testing.T) {
-	c, _ := NewLRU(1 << 20)
-	c.Add([]byte("a"), []byte("1"))
-	c.Get([]byte("a"))
-	c.Get([]byte("a"))
-	c.Get([]byte("zz"))
-	want := 2.0 / 3.0
-	if got := c.Stats().HitRatio(); got < want-1e-9 || got > want+1e-9 {
-		t.Fatalf("hit ratio = %v, want %v", got, want)
-	}
-	var empty Stats
-	if empty.HitRatio() != 0 {
-		t.Fatal("empty ratio nonzero")
-	}
-}
-
 func TestBadBudget(t *testing.T) {
 	if _, err := NewRing(0); err == nil {
 		t.Fatal("zero ring budget accepted")
 	}
-	if _, err := NewLRU(-5); err == nil {
-		t.Fatal("negative LRU budget accepted")
+	if _, err := NewRing(-5); err == nil {
+		t.Fatal("negative ring budget accepted")
 	}
 }
 
 func TestConcurrentAccess(t *testing.T) {
 	r, _ := NewRing(1 << 20)
-	c, _ := NewLRU(1 << 20)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -145,8 +94,6 @@ func TestConcurrentAccess(t *testing.T) {
 				k := []byte(fmt.Sprintf("w%d-k%d", w, i%50))
 				r.Add(k, []byte("v"))
 				r.Get(k)
-				c.Add(k, []byte("v"))
-				c.Get(k)
 			}
 		}(w)
 	}
@@ -161,21 +108,13 @@ func TestBudgetInvariantProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		c, err := NewLRU(budget)
-		if err != nil {
-			return false
-		}
 		for _, k := range keys {
 			key := []byte(fmt.Sprintf("key-%d", k))
 			val := make([]byte, int(k)%100)
 			r.Add(key, val)
-			c.Add(key, val)
 			// The budget may be exceeded only while a single record is
 			// larger than the budget; our records never are.
 			if r.Len() > 1 && r.UsedBytes() > budget {
-				return false
-			}
-			if c.Len() > 1 && c.UsedBytes() > budget {
 				return false
 			}
 		}

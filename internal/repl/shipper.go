@@ -1,10 +1,10 @@
 package repl
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 
+	"costperf/internal/backoff"
 	"costperf/internal/metrics"
 	"costperf/internal/tc"
 )
@@ -191,34 +191,22 @@ func (s *Shipper) finish() {
 	s.mu.Unlock()
 }
 
-// backoffSleep sleeps a jittered interval in [d/2, d] and doubles d up to
-// RetryMax (interruptible by Stop).
-func (s *Shipper) backoffSleep(d *time.Duration, rng *rand.Rand) {
-	cur := *d
-	if cur <= 0 {
-		cur = s.cfg.RetryBase
-	}
-	half := cur / 2
-	if half <= 0 {
-		half = cur
-	}
-	j := half + time.Duration(rng.Int63n(int64(half)+1))
-	*d = cur * 2
-	if *d > s.cfg.RetryMax {
-		*d = s.cfg.RetryMax
-	}
-	t := time.NewTimer(j)
+// backoffSleep sleeps the jittered backoff for the given 1-based count of
+// consecutive failures (interruptible by Stop) and returns the next count.
+func (s *Shipper) backoffSleep(jitter *backoff.Source, attempt int) int {
+	t := time.NewTimer(jitter.Next(attempt))
 	defer t.Stop()
 	select {
 	case <-t.C:
 	case <-s.stop:
 	}
+	return attempt + 1
 }
 
 func (s *Shipper) run() {
 	defer s.finish()
-	rng := rand.New(rand.NewSource(s.cfg.Seed))
-	backoff := s.cfg.RetryBase
+	jitter := backoff.New(backoff.Policy{Base: s.cfg.RetryBase, Max: s.cfg.RetryMax}, s.cfg.Seed)
+	attempt := 1         // consecutive failures since the last progress, plus one
 	cursor := int64(-1)  // unknown: resync with the standby first
 	var inflight []int64 // end LSNs of sent, unacked frames
 
@@ -246,7 +234,7 @@ func (s *Shipper) run() {
 					return
 				default:
 				}
-				s.backoffSleep(&backoff, rng)
+				attempt = s.backoffSleep(jitter, attempt)
 				continue
 			}
 			if a.Epoch > s.cfg.Epoch || (!a.OK && a.Reason == "fenced") {
@@ -257,7 +245,7 @@ func (s *Shipper) run() {
 			}
 			s.setAcked(a.Applied)
 			rewind(a.Applied)
-			backoff = s.cfg.RetryBase
+			attempt = 1
 			continue
 		}
 
@@ -288,7 +276,7 @@ func (s *Shipper) run() {
 			cursor = end
 		}
 		if fillErr {
-			s.backoffSleep(&backoff, rng)
+			attempt = s.backoffSleep(jitter, attempt)
 			continue
 		}
 
@@ -326,7 +314,7 @@ func (s *Shipper) run() {
 				s.stats.Resends.Inc()
 				s.setAcked(a.Applied)
 				rewind(a.Applied)
-				s.backoffSleep(&backoff, rng)
+				attempt = s.backoffSleep(jitter, attempt)
 				continue
 			}
 			s.stats.AcksOK.Inc()
@@ -339,7 +327,7 @@ func (s *Shipper) run() {
 				}
 			}
 			inflight = keep
-			backoff = s.cfg.RetryBase
+			attempt = 1
 		case <-time.After(s.cfg.AckTimeout):
 			// The whole window went silent (drops or a partition):
 			// rewind to the confirmed cursor and resend after a jittered
@@ -352,7 +340,7 @@ func (s *Shipper) run() {
 				confirmed = 0
 			}
 			rewind(confirmed)
-			s.backoffSleep(&backoff, rng)
+			attempt = s.backoffSleep(jitter, attempt)
 		case <-s.stop:
 			return
 		}

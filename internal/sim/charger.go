@@ -18,6 +18,11 @@ import (
 // retry backoff) so a cancelled or deadline-expired request stops burning
 // IOPS instead of running to completion.
 //
+// A nil *Charger means "not charged": a store configured without a
+// Session gets one from (*Session)(nil).Begin, and every method accepts
+// it — the charging methods do nothing, Class and Cost return zero and
+// Profile returns a zero profile. Callers charge without checking.
+//
 // A Charger is used by a single goroutine for a single operation and is
 // therefore not synchronized. The zero value is unusable; obtain one from
 // Session.Begin.
@@ -30,15 +35,19 @@ type Charger struct {
 }
 
 // WithContext binds ctx to the charger for the duration of the operation
-// and returns the charger for chaining. A nil ctx clears the binding.
+// and returns the charger for chaining. A nil ctx clears the binding. On
+// a nil charger it returns DetachedCharger(ctx), so an uncharged
+// operation still carries a cancellable ctx down the I/O path.
 func (c *Charger) WithContext(ctx context.Context) *Charger {
+	if c == nil {
+		return DetachedCharger(ctx)
+	}
 	c.ctx = ctx
 	return c
 }
 
-// Context returns the operation's context. It is nil-receiver-safe and
-// returns context.Background() when no context was bound, so substrates
-// can call ch.Context() without guarding against nil chargers.
+// Context returns the operation's context, or context.Background() when
+// no context was bound.
 func (c *Charger) Context() context.Context {
 	if c == nil || c.ctx == nil {
 		return context.Background()
@@ -46,8 +55,8 @@ func (c *Charger) Context() context.Context {
 	return c.ctx
 }
 
-// Err returns the bound context's cancellation error, if any. Like
-// Context, it is nil-receiver-safe: a nil charger is never cancelled.
+// Err returns the bound context's cancellation error, if any. A nil
+// charger is never cancelled.
 func (c *Charger) Err() error {
 	if c == nil || c.ctx == nil {
 		return nil
@@ -77,47 +86,87 @@ func DetachedCharger(ctx context.Context) *Charger {
 	return discardSession.Begin().WithContext(ctx)
 }
 
-// Profile returns the cost profile charges should be computed against.
-func (c *Charger) Profile() *CostProfile { return c.profile }
+// zeroProfile is what a nil charger's Profile returns.
+var zeroProfile CostProfile
 
-// Add accrues raw cost units to the in-flight operation.
+// Profile returns the cost profile charges should be computed against.
+func (c *Charger) Profile() *CostProfile {
+	if c == nil {
+		return &zeroProfile
+	}
+	return c.profile
+}
+
+// Add accrues raw cost units to the in-flight operation. A negative cost
+// panics, on a nil charger too.
 func (c *Charger) Add(cost Cost) {
 	if cost < 0 {
 		panic("sim: negative cost")
 	}
-	c.cost += cost
+	if c != nil {
+		c.cost += cost
+	}
 }
 
 // Compare charges n key comparisons.
-func (c *Charger) Compare(n int) { c.cost += Cost(n) * c.profile.Compare }
+func (c *Charger) Compare(n int) {
+	if c != nil {
+		c.cost += Cost(n) * c.profile.Compare
+	}
+}
 
 // Chase charges n cache-missing pointer dereferences.
-func (c *Charger) Chase(n int) { c.cost += Cost(n) * c.profile.PointerChase }
+func (c *Charger) Chase(n int) {
+	if c != nil {
+		c.cost += Cost(n) * c.profile.PointerChase
+	}
+}
 
 // Copy charges a payload copy of n bytes.
-func (c *Charger) Copy(n int) { c.cost += Cost(n) * c.profile.MemCopyPerByte }
+func (c *Charger) Copy(n int) {
+	if c != nil {
+		c.cost += Cost(n) * c.profile.MemCopyPerByte
+	}
+}
 
 // Hash charges one hash computation.
-func (c *Charger) Hash() { c.cost += c.profile.HashStep }
+func (c *Charger) Hash() {
+	if c != nil {
+		c.cost += c.profile.HashStep
+	}
+}
 
 // Escalate marks the operation as (at least) the given class. Class only
 // ever increases: an operation that touched the device stays an SS
 // operation even if later steps hit cache.
 func (c *Charger) Escalate(class OpClass) {
-	if class > c.class {
+	if c != nil && class > c.class {
 		c.class = class
 	}
 }
 
 // Class returns the operation's current class.
-func (c *Charger) Class() OpClass { return c.class }
+func (c *Charger) Class() OpClass {
+	if c == nil {
+		return OpMM
+	}
+	return c.class
+}
 
 // Cost returns the cost accrued so far.
-func (c *Charger) Cost() Cost { return c.cost }
+func (c *Charger) Cost() Cost {
+	if c == nil {
+		return 0
+	}
+	return c.cost
+}
 
 // Settle records the finished operation in the session's tracker and
 // resets the charger for reuse.
 func (c *Charger) Settle() {
+	if c == nil {
+		return
+	}
 	c.tracker.Charge(c.class, c.cost)
 	c.cost = 0
 	c.class = OpMM
@@ -126,6 +175,9 @@ func (c *Charger) Settle() {
 // Abandon discards the in-flight charges without recording an operation
 // (used when an operation fails before doing meaningful work).
 func (c *Charger) Abandon() {
+	if c == nil {
+		return
+	}
 	c.cost = 0
 	c.class = OpMM
 }
@@ -143,8 +195,12 @@ func NewSession(p CostProfile) *Session {
 	return &Session{profile: p}
 }
 
-// Begin returns a fresh Charger for one operation.
+// Begin returns a fresh Charger for one operation. A nil Session
+// returns a nil Charger: the operation is not charged.
 func (s *Session) Begin() *Charger {
+	if s == nil {
+		return nil
+	}
 	return &Charger{profile: &s.profile, tracker: &s.tracker}
 }
 

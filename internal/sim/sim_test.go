@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -189,6 +191,59 @@ func TestChargerNegativePanics(t *testing.T) {
 	}()
 	s := NewSession(DefaultCosts())
 	s.Begin().Add(-1)
+}
+
+// TestNilChargerNotCharged pins the "no Session ⇒ nothing is charged"
+// contract: a nil Session begins a nil charger, and every Charger method
+// accepts it without panicking and without recording anything.
+func TestNilChargerNotCharged(t *testing.T) {
+	var s *Session
+	ch := s.Begin()
+	if ch != nil {
+		t.Fatalf("nil Session Begin = %v, want nil", ch)
+	}
+	ch.Add(5)
+	ch.Compare(3)
+	ch.Chase(2)
+	ch.Copy(100)
+	ch.Hash()
+	ch.Escalate(OpSS)
+	if ch.Class() != OpMM {
+		t.Fatalf("nil Class = %v, want MM", ch.Class())
+	}
+	if ch.Cost() != 0 {
+		t.Fatalf("nil Cost = %v, want 0", ch.Cost())
+	}
+	if got := *ch.Profile(); got != (CostProfile{}) {
+		t.Fatalf("nil Profile = %+v, want zero", got)
+	}
+	ch.Settle()
+	ch.Abandon()
+	if ch.Err() != nil {
+		t.Fatalf("nil Err = %v, want nil", ch.Err())
+	}
+	if ch.Context() != context.Background() {
+		t.Fatal("nil Context is not context.Background()")
+	}
+}
+
+func TestNilChargerWithContext(t *testing.T) {
+	var ch *Charger
+	if got := ch.WithContext(context.Background()); got != nil {
+		t.Fatalf("nil WithContext(Background) = %v, want nil", got)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	bound := ch.WithContext(ctx)
+	if bound == nil {
+		t.Fatal("nil WithContext(cancellable) returned nil")
+	}
+	if bound.Err() != nil {
+		t.Fatalf("Err before cancel = %v", bound.Err())
+	}
+	cancel()
+	if !errors.Is(bound.Err(), context.Canceled) {
+		t.Fatalf("Err after cancel = %v, want context.Canceled", bound.Err())
+	}
 }
 
 func TestVirtualClock(t *testing.T) {

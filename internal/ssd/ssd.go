@@ -20,7 +20,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -181,7 +180,6 @@ type Device struct {
 	chunks   map[int64][]byte
 	closed   bool
 	injector FaultInjector // programmable fault injection (may be nil)
-	shim     *legacyShim   // lazily created by the deprecated fault hooks
 	observer IOObserver    // per-attempt telemetry sink (may be nil)
 
 	written   atomic.Int64 // high-water mark of bytes addressed
@@ -209,12 +207,9 @@ func (d *Device) Config() Config { return d.cfg }
 func (d *Device) Stats() *metrics.IOStats { return &d.stats }
 
 // chargeIO accrues the CPU cost of one I/O to the in-flight operation and
-// escalates it to an SS operation. A nil charger skips CPU accounting
+// escalates it to an SS operation. A nil charger charges nothing
 // (e.g., background flush paths measured separately).
 func (d *Device) chargeIO(ch *sim.Charger) {
-	if ch == nil {
-		return
-	}
 	p := ch.Profile()
 	if d.cfg.Path == KernelPath {
 		ch.Add(p.IOIssueKernel)
@@ -248,14 +243,9 @@ func (d *Device) BusySeconds() float64 {
 // Latency returns the device latency per I/O in virtual seconds.
 func (d *Device) Latency() float64 { return d.cfg.LatencySec }
 
-// faultOnWriteLocked consults the legacy shim and the installed injector,
-// first non-zero outcome wins. Caller holds d.mu.
+// faultOnWriteLocked consults the installed injector, if any. Caller
+// holds d.mu.
 func (d *Device) faultOnWriteLocked(off int64, data []byte) FaultOutcome {
-	if d.shim != nil {
-		if fo := d.shim.WriteFault(off, data); fo != (FaultOutcome{}) {
-			return fo
-		}
-	}
 	if d.injector != nil {
 		return d.injector.WriteFault(off, data)
 	}
@@ -263,11 +253,6 @@ func (d *Device) faultOnWriteLocked(off int64, data []byte) FaultOutcome {
 }
 
 func (d *Device) faultOnReadLocked(off int64, length int) FaultOutcome {
-	if d.shim != nil {
-		if fo := d.shim.ReadFault(off, length); fo != (FaultOutcome{}) {
-			return fo
-		}
-	}
 	if d.injector != nil {
 		return d.injector.ReadFault(off, length)
 	}
@@ -551,66 +536,6 @@ func (d *Device) SetObserver(o IOObserver) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.observer = o
-}
-
-// legacyShim implements FaultInjector for the deprecated ad-hoc fault
-// hooks below, so the whole fault path is uniform: every injected fault —
-// legacy or programmed — flows through a FaultOutcome.
-type legacyShim struct {
-	mu       sync.Mutex
-	failRead int
-	failRate float64
-	rng      *rand.Rand
-}
-
-func (s *legacyShim) ReadFault(int64, int) FaultOutcome {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failRead > 0 {
-		s.failRead--
-		return FaultOutcome{Err: ErrInjectedRead}
-	}
-	return FaultOutcome{}
-}
-
-func (s *legacyShim) WriteFault(int64, []byte) FaultOutcome {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failRate > 0 && s.rng.Float64() < s.failRate {
-		return FaultOutcome{Err: ErrInjectedWrite}
-	}
-	return FaultOutcome{}
-}
-
-func (d *Device) ensureShim() *legacyShim {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.shim == nil {
-		d.shim = &legacyShim{rng: rand.New(rand.NewSource(1))}
-	}
-	return d.shim
-}
-
-// FailNextReads makes the next n reads fail with ErrInjectedRead.
-//
-// Deprecated: thin compatibility shim. New code should install an
-// internal/fault.Injector via SetFaultInjector, which supports error
-// classification, torn writes, corruption, and crash points.
-func (d *Device) FailNextReads(n int) {
-	s := d.ensureShim()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.failRead = n
-}
-
-// SetWriteFailureRate makes each write fail with the given probability.
-//
-// Deprecated: thin compatibility shim; see FailNextReads.
-func (d *Device) SetWriteFailureRate(p float64) {
-	s := d.ensureShim()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.failRate = p
 }
 
 // Close marks the device closed; subsequent I/O fails with ErrClosed.

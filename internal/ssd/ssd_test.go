@@ -131,12 +131,36 @@ func TestChargerCosts(t *testing.T) {
 	}
 }
 
+// countingFaults fails the next failReads reads and, while failWrites is
+// set, every write.
+type countingFaults struct {
+	failReads  int
+	failWrites bool
+}
+
+func (f *countingFaults) ReadFault(int64, int) FaultOutcome {
+	if f.failReads > 0 {
+		f.failReads--
+		return FaultOutcome{Err: ErrInjectedRead}
+	}
+	return FaultOutcome{}
+}
+
+func (f *countingFaults) WriteFault(int64, []byte) FaultOutcome {
+	if f.failWrites {
+		return FaultOutcome{Err: ErrInjectedWrite}
+	}
+	return FaultOutcome{}
+}
+
 func TestFailureInjection(t *testing.T) {
 	d := New(SamsungSSD)
 	if err := d.WriteAt(0, []byte("abcd"), nil); err != nil {
 		t.Fatal(err)
 	}
-	d.FailNextReads(2)
+	faults := &countingFaults{}
+	d.SetFaultInjector(faults)
+	faults.failReads = 2
 	for i := 0; i < 2; i++ {
 		if _, err := d.ReadAt(0, 4, nil); !errors.Is(err, ErrInjectedRead) {
 			t.Fatalf("read %d err = %v, want injected", i, err)
@@ -146,11 +170,11 @@ func TestFailureInjection(t *testing.T) {
 		t.Fatalf("read after injection window: %v", err)
 	}
 
-	d.SetWriteFailureRate(1.0)
+	faults.failWrites = true
 	if err := d.WriteAt(0, []byte("x"), nil); !errors.Is(err, ErrInjectedWrite) {
 		t.Fatalf("write err = %v, want injected", err)
 	}
-	d.SetWriteFailureRate(0)
+	faults.failWrites = false
 	if err := d.WriteAt(0, []byte("x"), nil); err != nil {
 		t.Fatalf("write after clearing rate: %v", err)
 	}

@@ -188,13 +188,6 @@ func (tc *TC) Begin() (*Tx, error) {
 	return &Tx{tc: tc, id: id, beginTS: begin, writes: map[string]redoEntry{}}, nil
 }
 
-func (tc *TC) begin() *sim.Charger {
-	if tc.cfg.Session == nil {
-		return nil
-	}
-	return tc.cfg.Session.Begin()
-}
-
 // Read returns the value of key visible at the transaction's snapshot.
 // The lookup path is the Figure 6 cascade: own writes, MVCC version store
 // (recovery-log record cache), read cache, then the data component.
@@ -205,15 +198,11 @@ func (t *Tx) Read(key []byte) (_ []byte, _ bool, err error) {
 	tc := t.tc
 	sp := tc.cfg.Obs.Start(obs.OpGet)
 	defer func() { sp.End(err) }()
-	ch := tc.begin()
-	if ch != nil {
-		ch.Hash()
-	}
+	ch := tc.cfg.Session.Begin()
+	ch.Hash()
 	// 1. Own writes.
 	if w, ok := t.writes[string(key)]; ok {
-		if ch != nil {
-			ch.Settle()
-		}
+		ch.Settle()
 		if w.isDelete {
 			return nil, false, nil
 		}
@@ -228,21 +217,17 @@ func (t *Tx) Read(key []byte) (_ []byte, _ bool, err error) {
 	tc.mu.Unlock()
 	if ok {
 		tc.stats.VersionStoreHits.Inc()
-		if ch != nil {
-			ch.Chase(1)
-			ch.Copy(len(v.val))
-			ch.Settle()
-		}
+		ch.Chase(1)
+		ch.Copy(len(v.val))
+		ch.Settle()
 		return v.val, !v.isDelete, nil
 	}
 	// 3. Read cache.
 	if v, ok := tc.rcache.Get(key); ok {
 		tc.stats.ReadCacheHits.Inc()
-		if ch != nil {
-			ch.Hash()
-			ch.Copy(len(v))
-			ch.Settle()
-		}
+		ch.Hash()
+		ch.Copy(len(v))
+		ch.Settle()
 		return v, true, nil
 	}
 	// 4. Data component. The TC's own caches all missed; whether the DC
@@ -250,9 +235,7 @@ func (t *Tx) Read(key []byte) (_ []byte, _ bool, err error) {
 	// this read escaped its caching tiers.
 	sp.Miss()
 	tc.stats.DCReads.Inc()
-	if ch != nil {
-		ch.Settle() // the DC charges its own operation
-	}
+	ch.Settle() // the DC charges its own operation
 	dv, dok, err := tc.cfg.DC.Get(key)
 	if err != nil {
 		return nil, false, err
