@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check build test race vet bench
 
-check: ## vet + build + full tests + race pass on the storage stack
+check: ## vet + build + full tests + race pass over the whole module
 	sh scripts/check.sh
 
 build:
@@ -14,7 +14,7 @@ vet:
 test:
 	$(GO) test ./...
 
-race: ## the race step of CI's race job: the whole module, short workloads
+race: ## the whole module under the race detector, short workloads
 	$(GO) test -race -short ./...
 
 bench:

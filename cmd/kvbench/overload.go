@@ -241,7 +241,7 @@ func runOverloadMode(cfg overloadModeConfig) {
 		if sc.Phases[i].Name == "storm" {
 			workers *= overloadStormFactor
 		}
-		shed0 := [4]int64{lim.ShedScan.Value(), lim.ShedLow.Value(), lim.ShedNormal.Value(), lim.ShedHigh.Value()}
+		shed0 := [4]int64{lim.Shed.Scan.Value(), lim.Shed.Low.Value(), lim.Shed.Normal.Value(), lim.Shed.High.Value()}
 		rs := driveClassed(eng, ph, workers)
 		lat := rs.latency.Snapshot()
 		pr := overloadPhaseResult{
@@ -251,10 +251,10 @@ func runOverloadMode(cfg overloadModeConfig) {
 			P50Micros: lat.P50, P95Micros: lat.P95, P99Micros: lat.P99,
 			Completed: rs.completed.Value(), Shed: rs.shed.Value(),
 			Timeouts: rs.timeouts.Value(), Errors: rs.fails.Value(),
-			ShedScan:   lim.ShedScan.Value() - shed0[0],
-			ShedLow:    lim.ShedLow.Value() - shed0[1],
-			ShedNormal: lim.ShedNormal.Value() - shed0[2],
-			ShedHigh:   lim.ShedHigh.Value() - shed0[3],
+			ShedScan:   lim.Shed.Scan.Value() - shed0[0],
+			ShedLow:    lim.Shed.Low.Value() - shed0[1],
+			ShedNormal: lim.Shed.Normal.Value() - shed0[2],
+			ShedHigh:   lim.Shed.High.Value() - shed0[3],
 			LimitEnd:   lim.Limit.Value(),
 		}
 		results.Phases = append(results.Phases, pr)

@@ -96,12 +96,7 @@ func (p *page) serializedBytes() int {
 
 // Stats counts tree events.
 type Stats struct {
-	Gets       metrics.Counter
-	Inserts    metrics.Counter
-	Deletes    metrics.Counter
-	Scans      metrics.Counter
 	Splits     metrics.Counter
-	PoolHits   metrics.Counter
 	PoolMisses metrics.Counter
 	WriteBacks metrics.Counter
 	// Health latches degraded (read-only) when the backing device reports
@@ -175,7 +170,6 @@ func (t *Tree) fetch(id pageID, ch *sim.Charger) (*page, error) {
 	t.tick++
 	if p, ok := t.pool[id]; ok {
 		p.lastUse = t.tick
-		t.stats.PoolHits.Inc()
 		ch.Chase(1)
 		return p, nil
 	}
@@ -267,7 +261,6 @@ func (t *Tree) get(key []byte, ch *sim.Charger) (_ []byte, _ bool, err error) {
 	}
 	i := sort.Search(len(p.keys), func(i int) bool { return bytes.Compare(p.keys[i], key) >= 0 })
 	ch.Compare(4)
-	t.stats.Gets.Inc()
 	if i < len(p.keys) && bytes.Equal(p.keys[i], key) {
 		v := p.vals[i]
 		ch.Copy(len(v))
@@ -346,7 +339,6 @@ func (t *Tree) insert(key, val []byte, ch *sim.Charger) (err error) {
 		nr.children = []pageID{old, right}
 		t.root = nr.id
 	}
-	t.stats.Inserts.Inc()
 	ch.Copy(len(key) + len(val))
 	ch.Settle()
 	return nil
@@ -459,7 +451,6 @@ func (t *Tree) delete(key []byte, ch *sim.Charger) (err error) {
 		p.vals = append(p.vals[:i], p.vals[i+1:]...)
 		p.dirty = true
 	}
-	t.stats.Deletes.Inc()
 	ch.Settle()
 	return nil
 }
@@ -485,7 +476,6 @@ func (t *Tree) scan(start []byte, limit int, fn func(k, v []byte) bool, ch *sim.
 		ch.Abandon()
 		return ErrClosed
 	}
-	t.stats.Scans.Inc()
 	p, err := t.descend(start, ch)
 	if err != nil {
 		ch.Abandon()

@@ -34,7 +34,6 @@ func (t *Tree) scan(start []byte, limit int, fn func(key, val []byte) bool, ch *
 		return ErrClosed
 	}
 	defer ch.Settle()
-	t.stats.Scans.Inc()
 
 	visited := 0
 	cur := start

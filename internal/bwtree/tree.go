@@ -55,18 +55,12 @@ func (c *Config) setDefaults() {
 
 // Stats counts tree-level events.
 type Stats struct {
-	Gets           metrics.Counter
-	Inserts        metrics.Counter
-	Deletes        metrics.Counter
-	BlindWrites    metrics.Counter
-	Scans          metrics.Counter
 	Consolidations metrics.Counter
 	Splits         metrics.Counter
 	PageLoads      metrics.Counter // read-misses served from the log store
 	PageEvictions  metrics.Counter
 	PageFlushes    metrics.Counter
 	DeltaFlushes   metrics.Counter
-	CASFailures    metrics.Counter
 	// Retry meters the transient-fault retry budget spent on page I/O.
 	Retry metrics.RetryStats
 	// Health latches degraded (read-only) after a persistent flush failure.
@@ -136,7 +130,6 @@ func (t *Tree) install(pid mapping.PID, old, next *pageHeader) bool {
 		t.mem.Add(int64(next.memBytes - old.memBytes))
 		return true
 	}
-	t.stats.CASFailures.Inc()
 	return false
 }
 
@@ -266,7 +259,6 @@ func (t *Tree) get(key []byte, ch *sim.Charger) ([]byte, bool, error) {
 		t.touch(leaf, hdr)
 		val, found, serr := t.chainSearch(hdr, key, ch)
 		if serr == nil {
-			t.stats.Gets.Inc()
 			if found {
 				ch.Copy(len(val))
 			}

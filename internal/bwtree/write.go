@@ -11,58 +11,34 @@ import (
 // Insert upserts key -> val by prepending an insert delta to the owning
 // leaf's chain with a single CAS — the Bw-tree's latch-free update.
 func (t *Tree) Insert(key, val []byte) error {
-	if err := t.write(key, val, false, false, t.cfg.Session.Begin()); err != nil {
-		return err
-	}
-	t.stats.Inserts.Inc()
-	return nil
+	return t.write(key, val, false, false, t.cfg.Session.Begin())
 }
 
 // InsertCtx is Insert bounded by ctx.
 func (t *Tree) InsertCtx(ctx context.Context, key, val []byte) error {
-	if err := t.write(key, val, false, false, t.cfg.Session.Begin().WithContext(ctx)); err != nil {
-		return err
-	}
-	t.stats.Inserts.Inc()
-	return nil
+	return t.write(key, val, false, false, t.cfg.Session.Begin().WithContext(ctx))
 }
 
 // Delete removes key (idempotent: deleting an absent key succeeds).
 func (t *Tree) Delete(key []byte) error {
-	if err := t.write(key, nil, true, false, t.cfg.Session.Begin()); err != nil {
-		return err
-	}
-	t.stats.Deletes.Inc()
-	return nil
+	return t.write(key, nil, true, false, t.cfg.Session.Begin())
 }
 
 // DeleteCtx is Delete bounded by ctx.
 func (t *Tree) DeleteCtx(ctx context.Context, key []byte) error {
-	if err := t.write(key, nil, true, false, t.cfg.Session.Begin().WithContext(ctx)); err != nil {
-		return err
-	}
-	t.stats.Deletes.Inc()
-	return nil
+	return t.write(key, nil, true, false, t.cfg.Session.Begin().WithContext(ctx))
 }
 
 // BlindWrite upserts key -> val without requiring the leaf's base page to
 // be in main memory (paper Section 6.2): if the base is evicted, the delta
 // is prepended above the diskRef and no read I/O occurs.
 func (t *Tree) BlindWrite(key, val []byte) error {
-	if err := t.write(key, val, false, true, t.cfg.Session.Begin()); err != nil {
-		return err
-	}
-	t.stats.BlindWrites.Inc()
-	return nil
+	return t.write(key, val, false, true, t.cfg.Session.Begin())
 }
 
 // BlindWriteCtx is BlindWrite bounded by ctx.
 func (t *Tree) BlindWriteCtx(ctx context.Context, key, val []byte) error {
-	if err := t.write(key, val, false, true, t.cfg.Session.Begin().WithContext(ctx)); err != nil {
-		return err
-	}
-	t.stats.BlindWrites.Inc()
-	return nil
+	return t.write(key, val, false, true, t.cfg.Session.Begin().WithContext(ctx))
 }
 
 func cloneBytes(b []byte) []byte {

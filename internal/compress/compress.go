@@ -54,8 +54,6 @@ func Decompress(data []byte, maxSize int) ([]byte, error) {
 
 // Stats counts page-store events.
 type Stats struct {
-	PagesWritten      metrics.Counter
-	PagesRead         metrics.Counter
 	BytesUncompressed metrics.Counter
 	BytesCompressed   metrics.Counter
 }
@@ -124,7 +122,6 @@ func (p *PageStore) WritePage(id uint64, data []byte) error {
 	p.mu.Lock()
 	p.index[id] = extent{off: off, clen: int32(len(comp)), origSize: int32(len(data))}
 	p.mu.Unlock()
-	p.stats.PagesWritten.Inc()
 	p.stats.BytesUncompressed.Add(int64(len(data)))
 	p.stats.BytesCompressed.Add(int64(len(comp)))
 	ch.Escalate(sim.OpCSS)
@@ -151,7 +148,6 @@ func (p *PageStore) ReadPage(id uint64) ([]byte, error) {
 		ch.Abandon()
 		return nil, err
 	}
-	p.stats.PagesRead.Inc()
 	ch.Add(ch.Profile().DecompressPerByte * sim.Cost(len(out)))
 	ch.Escalate(sim.OpCSS)
 	ch.Settle()

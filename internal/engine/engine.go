@@ -17,8 +17,9 @@
 //     the store's latency knee), and up to MaxQueue more wait in a
 //     priority-ordered queue. Beyond each priority class's queue bound
 //     the engine fails fast with ErrOverload instead of letting latency
-//     collapse — shedding is observable via Stats.Shed, the limiter's
-//     per-class counters, queue depth, and wait-time histograms.
+//     collapse — shedding is observable via the limiter's stats block
+//     (embedded in Stats): per-class shed counters, queue depth, and the
+//     wait-time histogram.
 //     Operations carry a priority class in their context
 //     (overload.WithClass); scans default to the first-shed class,
 //     point ops to normal, and the breaker's half-open probes bypass
@@ -149,10 +150,10 @@ func (c *Config) setDefaults() error {
 
 // Stats meters the front-end. All fields are safe for concurrent use.
 type Stats struct {
-	// Admitted counts operations that acquired an execution slot.
-	Admitted metrics.Counter
-	// Shed counts requests rejected with ErrOverload (queue full).
-	Shed metrics.Counter
+	// LimiterStats is the admission limiter's own block (Admitted, Shed,
+	// QueueDepth, QueuePeak, WaitMicros, ...): admission is counted once,
+	// by the limiter, and the engine exposes that block in place.
+	*metrics.LimiterStats
 	// Timeouts counts operations that ended with a deadline-exceeded
 	// context (while queued or while executing).
 	Timeouts metrics.Counter
@@ -163,13 +164,6 @@ type Stats struct {
 	ReadOnlyRejects metrics.Counter
 	// CircuitRejects counts writes refused by the open breaker.
 	CircuitRejects metrics.Counter
-	// QueueDepth is the current number of admission waiters; QueuePeak is
-	// its high-water mark.
-	QueueDepth metrics.Gauge
-	QueuePeak  metrics.Gauge
-	// WaitMicros samples wall-clock admission wait per queued operation
-	// (in microseconds).
-	WaitMicros metrics.Histogram
 	// Breaker is the circuit state: healthy = closed, degraded = open,
 	// probing = half-open. Its Probes/Restores counters meter the
 	// half-open cycle; Degradations counts trips (including re-trips
@@ -217,15 +211,14 @@ func New(cfg Config) (*Engine, error) {
 		}, cfg.ProbeJitterSeed),
 	}
 	e.lim = overload.NewLimiter(overload.Config{
-		Initial:    cfg.MaxConcurrent,
-		Min:        cfg.AdaptiveMin,
-		Max:        cfg.AdaptiveMax,
-		MaxQueue:   cfg.MaxQueue,
-		Static:     !cfg.Adaptive,
-		Window:     cfg.LimitWindow,
-		DepthGauge: &e.stats.QueueDepth,
-		PeakGauge:  &e.stats.QueuePeak,
+		Initial:  cfg.MaxConcurrent,
+		Min:      cfg.AdaptiveMin,
+		Max:      cfg.AdaptiveMax,
+		MaxQueue: cfg.MaxQueue,
+		Static:   !cfg.Adaptive,
+		Window:   cfg.LimitWindow,
 	})
+	e.stats.LimiterStats = e.lim.Stats()
 	cfg.Obs.FoldLimiter(e.lim.Stats())
 	return e, nil
 }
@@ -271,7 +264,6 @@ func (e *Engine) admit(parent context.Context, class overload.Class) (ctx contex
 			// Past this class's queue bound: shed rather than waiting —
 			// bounded queues keep shed requests cheap and waiting requests'
 			// latency bounded.
-			e.stats.Shed.Inc()
 			return nil, nil, ErrOverload
 		}
 		e.noteAbort(aerr)
@@ -281,10 +273,6 @@ func (e *Engine) admit(parent context.Context, class overload.Class) (ctx contex
 		// server) must report it as such, not as load shedding.
 		return nil, nil, fmt.Errorf("engine: admission wait aborted: %w", aerr)
 	}
-	if queued, wait := tk.Queued(); queued {
-		e.stats.WaitMicros.Observe(float64(wait.Microseconds()))
-	}
-	e.stats.Admitted.Inc()
 	done = func() {
 		// Release feeds the op's in-store latency to the gradient
 		// controller — the signal the adaptive limit steers by.

@@ -315,9 +315,86 @@ func TestClassTaggedOpsShedInOrder(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := e.Limiter().Stats().ShedScan.Value(); got != 1 {
-		t.Fatalf("ShedScan = %d, want 1", got)
+	if got := e.Limiter().Stats().Shed.Scan.Value(); got != 1 {
+		t.Fatalf("Shed.Scan = %d, want 1", got)
 	}
 	close(fs.block)
 	wg.Wait()
+}
+
+// TestAdmissionCountedOnce pins that admission has one meter block: the
+// engine's Stats embed the limiter's own LimiterStats, so Admitted counts
+// each granted op once and Shed totals the per-class shed counters.
+func TestAdmissionCountedOnce(t *testing.T) {
+	fs := newFakeStore()
+	fs.block = make(chan struct{})
+	e := newTestEngine(t, Config{Store: fs, MaxConcurrent: 1, MaxQueue: 4})
+	if e.Stats().LimiterStats != e.Limiter().Stats() {
+		t.Fatal("engine stats do not share the limiter's block")
+	}
+	ctx := context.Background()
+	get := func(c context.Context) error {
+		_, _, err := e.Get(c, []byte("k"))
+		return err
+	}
+
+	// One op holds the slot and four fill the queue (normal's bound is
+	// the whole queue), so every class now sheds.
+	var wg sync.WaitGroup
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; i < 5; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := get(ctx); err != nil {
+				t.Errorf("saturating Get: %v", err)
+			}
+		}()
+		for e.Stats().Inflight.Value()+e.Stats().QueueDepth.Value() < int64(i+1) {
+			if time.Now().After(deadline) {
+				t.Fatalf("op %d never admitted or queued", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	shedOps := []func() error{
+		func() error { return e.Scan(ctx, nil, 1, func(k, v []byte) bool { return true }) },
+		func() error { return e.Scan(ctx, nil, 1, func(k, v []byte) bool { return true }) },
+		func() error { return get(overload.WithClass(ctx, overload.ClassLow)) },
+		func() error { return get(ctx) },
+		func() error { return e.Put(ctx, []byte("k"), []byte("v")) },
+		func() error { return e.Delete(ctx, []byte("k")) },
+		func() error { return get(overload.WithClass(ctx, overload.ClassHigh)) },
+	}
+	for i, op := range shedOps {
+		if err := op(); !errors.Is(err, ErrOverload) {
+			t.Fatalf("op %d on a full queue = %v, want ErrOverload", i, err)
+		}
+	}
+	close(fs.block)
+	wg.Wait()
+	const after = 3
+	for i := 0; i < after; i++ {
+		if err := get(ctx); err != nil {
+			t.Fatalf("Get after drain: %v", err)
+		}
+	}
+
+	st := e.Stats()
+	if got, want := st.Admitted.Value(), int64(5+after); got != want {
+		t.Fatalf("Admitted = %d, want %d", got, want)
+	}
+	sh := &st.Shed
+	if sh.Scan.Value() != 2 || sh.Low.Value() != 1 || sh.Normal.Value() != 3 || sh.High.Value() != 1 {
+		t.Fatalf("shed by class [scan low normal high] = [%d %d %d %d], want [2 1 3 1]",
+			sh.Scan.Value(), sh.Low.Value(), sh.Normal.Value(), sh.High.Value())
+	}
+	m := int64(len(shedOps))
+	if sum := sh.Scan.Value() + sh.Low.Value() + sh.Normal.Value() + sh.High.Value(); st.Shed.Value() != m || sum != m {
+		t.Fatalf("Shed = %d, per-class sum = %d, want %d", st.Shed.Value(), sum, m)
+	}
+	if got := st.WaitMicros.Count(); got != 4 {
+		t.Fatalf("WaitMicros count = %d, want 4 (the queued ops)", got)
+	}
 }

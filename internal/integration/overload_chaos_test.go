@@ -467,8 +467,8 @@ func runOverloadSeed(t *testing.T, seed int64) float64 {
 
 	// Brownout ladder: sheds walk strictly upward from the lowest class.
 	lim := r.eng.Limiter().Stats()
-	shedScan, shedLow := lim.ShedScan.Value(), lim.ShedLow.Value()
-	shedNormal, shedHigh := lim.ShedNormal.Value(), lim.ShedHigh.Value()
+	shedScan, shedLow := lim.Shed.Scan.Value(), lim.Shed.Low.Value()
+	shedNormal, shedHigh := lim.Shed.Normal.Value(), lim.Shed.High.Value()
 	if shedHigh > 0 && (shedNormal == 0 || shedScan == 0) {
 		t.Errorf("seed %d: ladder inverted: high shed %d with normal=%d scan=%d low=%d",
 			seed, shedHigh, shedNormal, shedScan, shedLow)
@@ -483,7 +483,7 @@ func runOverloadSeed(t *testing.T, seed int64) float64 {
 
 	// The closed loop is live: the server advised at least one client
 	// (hints only flow when something was shed server-side).
-	if lim.ShedScan.Value()+lim.ShedLow.Value()+lim.ShedNormal.Value()+lim.ShedHigh.Value() > 0 {
+	if lim.Shed.Scan.Value()+lim.Shed.Low.Value()+lim.Shed.Normal.Value()+lim.Shed.High.Value() > 0 {
 		hinted := false
 		for _, cl := range r.clients {
 			if cl.Stats().HintedMicros.Value() > 0 {

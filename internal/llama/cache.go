@@ -97,7 +97,6 @@ type Config struct {
 
 // Stats counts cache-manager events.
 type Stats struct {
-	Sweeps            metrics.Counter
 	BreakevenEvicts   metrics.Counter
 	BudgetEvicts      metrics.Counter
 	CandidatesSkipped metrics.Counter
@@ -136,7 +135,6 @@ func (m *Manager) Stats() *Stats { return &m.stats }
 func (m *Manager) Sweep() (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.stats.Sweeps.Inc()
 	if m.cfg.Policy == PolicyNone {
 		return 0, nil
 	}

@@ -131,13 +131,12 @@ type segInfo struct {
 
 // Stats reports store-level counters beyond the device's I/O stats.
 type Stats struct {
-	RecordsAppended metrics.Counter
-	BytesAppended   metrics.Counter
-	Flushes         metrics.Counter
-	GCRuns          metrics.Counter
-	GCReclaimed     metrics.Counter
-	GCRelocated     metrics.Counter
-	BufferHits      metrics.Counter // reads served from the unflushed buffer
+	BytesAppended metrics.Counter
+	Flushes       metrics.Counter
+	GCRuns        metrics.Counter
+	GCReclaimed   metrics.Counter
+	GCRelocated   metrics.Counter
+	BufferHits    metrics.Counter // reads served from the unflushed buffer
 	// Retry meters the transient-fault retry budget spent on device I/O.
 	Retry metrics.RetryStats
 	// Health latches degraded (read-only) after a persistent write failure.
@@ -285,7 +284,6 @@ func (s *Store) Append(pid uint64, kind Kind, payload []byte, ch *sim.Charger) (
 	s.buf = append(s.buf, hdr[:]...)
 	s.buf = append(s.buf, payload...)
 	s.accountAppend(off, recLen)
-	s.stats.RecordsAppended.Inc()
 	s.stats.BytesAppended.Add(recLen)
 	return Address{Off: off + 1, Len: int32(len(payload))}, nil
 }

@@ -68,8 +68,6 @@ const maxLevels = 7
 type Stats struct {
 	Gets        metrics.Counter
 	Puts        metrics.Counter
-	Deletes     metrics.Counter
-	Scans       metrics.Counter
 	Flushes     metrics.Counter
 	Compactions metrics.Counter
 	BloomSkips  metrics.Counter
@@ -168,9 +166,7 @@ func (t *Tree) write(key, val []byte, tombstone bool, ch *sim.Charger) error {
 		err = t.flushLocked(ch)
 	}
 	t.mu.Unlock()
-	if tombstone {
-		t.stats.Deletes.Inc()
-	} else {
+	if !tombstone {
 		t.stats.Puts.Inc()
 	}
 	ch.Settle()
@@ -537,7 +533,6 @@ func (t *Tree) scan(start []byte, limit int, fn func(k, v []byte) bool, ch *sim.
 	t.mu.RLock()
 	defer func() {
 		t.mu.RUnlock()
-		t.stats.Scans.Inc()
 		ch.Settle()
 		sp.End(err)
 	}()

@@ -112,12 +112,8 @@ const (
 
 // Stats counts tree events.
 type Stats struct {
-	Gets    metrics.Counter
-	Puts    metrics.Counter
-	Deletes metrics.Counter
-	Scans   metrics.Counter
-	Layers  metrics.Counter
-	Splits  metrics.Counter
+	Layers metrics.Counter
+	Splits metrics.Counter
 }
 
 // Tree is a MassTree. All methods are safe for concurrent use; reads take
@@ -164,7 +160,6 @@ func (t *Tree) Get(key []byte) ([]byte, bool) {
 	t.mu.RLock()
 	val, ok := t.top.get(key, ch)
 	t.mu.RUnlock()
-	t.stats.Gets.Inc()
 	if ok {
 		ch.Copy(len(val))
 	}
@@ -229,7 +224,6 @@ func (t *Tree) Put(key, val []byte) {
 	t.mu.Lock()
 	added, memDelta := t.top.put(key, val, ch, &t.stats)
 	t.mu.Unlock()
-	t.stats.Puts.Inc()
 	t.mem.Add(int64(memDelta))
 	if added {
 		t.count.Add(1)
@@ -345,7 +339,6 @@ func (t *Tree) Delete(key []byte) bool {
 	t.mu.Lock()
 	removed, memDelta := t.top.del(key, ch)
 	t.mu.Unlock()
-	t.stats.Deletes.Inc()
 	t.mem.Add(int64(memDelta))
 	if removed {
 		t.count.Add(-1)

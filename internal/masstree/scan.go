@@ -20,7 +20,6 @@ func (t *Tree) Scan(start []byte, limit int, fn func(key, val []byte) bool) {
 	visited := 0
 	t.top.scan(nil, start, limit, &visited, fn, ch)
 	t.mu.RUnlock()
-	t.stats.Scans.Inc()
 	ch.Settle()
 }
 

@@ -1,7 +1,8 @@
 // Package metrics provides lightweight, concurrency-safe counters,
 // gauges, and histograms used by the storage engines and the experiment
-// harness to report operation counts, I/O counts, byte volumes, and
-// latency/cost distributions.
+// harness to report I/O counts, byte volumes, latency/cost distributions,
+// and the internal events no obs span counts (splits, page loads,
+// retries, health). Operation counts come from internal/obs spans.
 //
 // All types are safe for concurrent use and have useful zero values.
 package metrics
@@ -137,25 +138,30 @@ func (h *Histogram) Sum() float64 {
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
+	mean, _ := h.momentsLocked()
+	return mean
 }
 
 // StdDev returns the population standard deviation, or 0 when empty.
 func (h *Histogram) StdDev() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	_, sd := h.momentsLocked()
+	return sd
+}
+
+// momentsLocked returns the mean and population standard deviation, or
+// zeros when empty.
+func (h *Histogram) momentsLocked() (mean, sd float64) {
 	if h.count == 0 {
-		return 0
+		return 0, 0
 	}
-	mean := h.sum / float64(h.count)
+	mean = h.sum / float64(h.count)
 	variance := h.sumSq/float64(h.count) - mean*mean
 	if variance < 0 {
 		variance = 0 // guard against FP rounding
 	}
-	return math.Sqrt(variance)
+	return mean, math.Sqrt(variance)
 }
 
 // Min returns the smallest observed sample, or 0 when empty.
@@ -179,15 +185,18 @@ func (h *Histogram) Quantile(q float64) float64 {
 		panic(fmt.Sprintf("metrics: quantile %v out of range [0,1]", q))
 	}
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.reservoir) == 0 {
+	sorted := append([]float64(nil), h.reservoir...)
+	h.mu.Unlock()
+	sort.Float64s(sorted)
+	return quantile(sorted, q)
+}
+
+// quantile picks the q-th quantile from sorted samples (0 when empty).
+func quantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sorted := make([]float64, len(h.reservoir))
-	copy(sorted, h.reservoir)
-	sort.Float64s(sorted)
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
+	return sorted[int(q*float64(len(sorted)-1))]
 }
 
 // Snapshot is a point-in-time summary of a Histogram.
@@ -202,18 +211,18 @@ type Snapshot struct {
 	P99    float64
 }
 
-// Snapshot returns a consistent summary of the histogram.
+// Snapshot returns a consistent summary of the histogram: every field is
+// read under one hold of the lock, so Min <= P50 <= P95 <= P99 <= Max
+// holds even while other goroutines observe.
 func (h *Histogram) Snapshot() Snapshot {
-	return Snapshot{
-		Count:  h.Count(),
-		Mean:   h.Mean(),
-		StdDev: h.StdDev(),
-		Min:    h.Min(),
-		Max:    h.Max(),
-		P50:    h.Quantile(0.50),
-		P95:    h.Quantile(0.95),
-		P99:    h.Quantile(0.99),
-	}
+	h.mu.Lock()
+	s := Snapshot{Count: h.count, Min: h.min, Max: h.max}
+	s.Mean, s.StdDev = h.momentsLocked()
+	sorted := append([]float64(nil), h.reservoir...)
+	h.mu.Unlock()
+	sort.Float64s(sorted)
+	s.P50, s.P95, s.P99 = quantile(sorted, 0.50), quantile(sorted, 0.95), quantile(sorted, 0.99)
+	return s
 }
 
 // String renders the snapshot compactly for experiment logs.

@@ -172,6 +172,42 @@ func TestHistogramSnapshotString(t *testing.T) {
 	}
 }
 
+// Snapshots taken while observers run must be internally consistent:
+// every quantile lies between the minimum and maximum it reports.
+func TestHistogramSnapshotConsistentUnderObserve(t *testing.T) {
+	var h Histogram
+	const observers, each = 4, 20000
+	var wg sync.WaitGroup
+	for w := 0; w < observers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Values march outward in both directions, so a summary
+			// assembled from several reads sees its bounds move.
+			for i := 0; i < each; i++ {
+				v := float64(i)
+				if (i+w)%2 == 1 {
+					v = -v
+				}
+				h.Observe(v)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for n := 0; ; n++ {
+		s := h.Snapshot()
+		if s.Count > 0 && !(s.Min <= s.P50 && s.P50 <= s.P95 && s.P95 <= s.P99 && s.P99 <= s.Max) {
+			t.Fatalf("snapshot %d inconsistent: %s", n, s)
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
+	}
+}
+
 // Property: histogram mean always lies within [min, max].
 func TestHistogramMeanBoundsProperty(t *testing.T) {
 	f := func(raw []int32) bool {

@@ -27,11 +27,9 @@ type ReplStats struct {
 	Promotions   Counter // standby promotions to primary
 	FencedWrites Counter // stale-primary commits rejected by the epoch gate
 
-	// LSN gauges: the shipper's ship cursor, the highest standby-acked LSN,
-	// the standby's applied LSN, and the primary durable LSN last observed
-	// by the standby (AppliedLSN lagging PrimaryDurable is replication lag).
-	ShipCursor     Gauge
-	AckedLSN       Gauge
+	// LSN gauges: the standby's applied LSN and the primary durable LSN
+	// last observed by the standby (AppliedLSN lagging PrimaryDurable is
+	// replication lag). The highest standby-acked LSN is Shipper.AckedLSN.
 	AppliedLSN     Gauge
 	PrimaryDurable Gauge
 }

@@ -428,9 +428,9 @@ func TestRegistryFoldsLimiterStats(t *testing.T) {
 	ls.Inflight.Set(5)
 	ls.LimitUps.Add(4)
 	ls.LimitDowns.Add(6)
-	ls.ShedScan.Add(40)
-	ls.ShedLow.Add(7)
-	ls.ShedNormal.Add(2)
+	ls.Shed.Scan.Add(40)
+	ls.Shed.Low.Add(7)
+	ls.Shed.Normal.Add(2)
 	ls.RetryAfterMicros.Set(1500)
 	tr.FoldLimiter(&ls)
 

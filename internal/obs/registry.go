@@ -255,10 +255,10 @@ func (t *Tracer) Snapshot() CostSnapshot {
 		s.Limited = true
 		s.Limit += l.Limit.Value()
 		s.LimitChanges += l.LimitUps.Value() + l.LimitDowns.Value()
-		s.ShedByScan += l.ShedScan.Value()
-		s.ShedByLow += l.ShedLow.Value()
-		s.ShedByNormal += l.ShedNormal.Value()
-		s.ShedByHigh += l.ShedHigh.Value()
+		s.ShedByScan += l.Shed.Scan.Value()
+		s.ShedByLow += l.Shed.Low.Value()
+		s.ShedByNormal += l.Shed.Normal.Value()
+		s.ShedByHigh += l.Shed.High.Value()
 		if ra := l.RetryAfterMicros.Value(); ra > s.RetryAfterMicros {
 			s.RetryAfterMicros = ra
 		}

@@ -73,11 +73,6 @@ type Config struct {
 	// ProbeInterval is the number of windows between vegas floor
 	// re-probes (default 16; <0 disables probing).
 	ProbeInterval int
-	// DepthGauge/PeakGauge, when non-nil, mirror the live queue depth
-	// and its high-water mark (the engine points these at its
-	// Stats.QueueDepth/QueuePeak so existing dashboards keep working).
-	DepthGauge *metrics.Gauge
-	PeakGauge  *metrics.Gauge
 }
 
 const (
@@ -216,13 +211,13 @@ func (l *Limiter) queueBound(c Class) int {
 func (l *Limiter) shedLocked(c Class) {
 	switch c {
 	case ClassScan:
-		l.stats.ShedScan.Inc()
+		l.stats.Shed.Scan.Inc()
 	case ClassLow:
-		l.stats.ShedLow.Inc()
+		l.stats.Shed.Low.Inc()
 	case ClassNormal:
-		l.stats.ShedNormal.Inc()
+		l.stats.Shed.Normal.Inc()
 	default:
-		l.stats.ShedHigh.Inc()
+		l.stats.Shed.High.Inc()
 	}
 }
 
@@ -277,7 +272,7 @@ func (l *Limiter) Acquire(ctx context.Context, c Class) (*Ticket, error) {
 	}
 	select {
 	case <-w.ch:
-		return &Ticket{class: c, queued: true, wait: w.granted.Sub(now), granted: w.granted}, nil
+		return l.queuedTicket(c, w, now), nil
 	case <-ctx.Done():
 		l.mu.Lock()
 		if w.done {
@@ -285,7 +280,7 @@ func (l *Limiter) Acquire(ctx context.Context, c Class) (*Ticket, error) {
 			// with it — the store call will see the dead ctx immediately,
 			// and the release path stays uniform.
 			l.mu.Unlock()
-			return &Ticket{class: c, queued: true, wait: w.granted.Sub(now), granted: w.granted}, nil
+			return l.queuedTicket(c, w, now), nil
 		}
 		w.done = true
 		for i, qw := range l.qs[c] {
@@ -299,6 +294,14 @@ func (l *Limiter) Acquire(ctx context.Context, c Class) (*Ticket, error) {
 		l.mu.Unlock()
 		return nil, ctx.Err()
 	}
+}
+
+// queuedTicket is the ticket of a waiter granted after queueing since
+// enqueued; its wait is sampled into Stats.WaitMicros.
+func (l *Limiter) queuedTicket(c Class, w *waiter, enqueued time.Time) *Ticket {
+	wait := w.granted.Sub(enqueued)
+	l.stats.WaitMicros.Observe(float64(wait.Microseconds()))
+	return &Ticket{class: c, queued: true, wait: wait, granted: w.granted}
 }
 
 // Release returns a ticket's slot, feeds the gradient controller (when
@@ -350,12 +353,8 @@ func (l *Limiter) grantStatsLocked() {
 
 func (l *Limiter) depthStatsLocked() {
 	d := int64(l.queued)
-	if l.cfg.DepthGauge != nil {
-		l.cfg.DepthGauge.Set(d)
-	}
-	if l.cfg.PeakGauge != nil {
-		l.cfg.PeakGauge.Max(d)
-	}
+	l.stats.QueueDepth.Set(d)
+	l.stats.QueuePeak.Max(d)
 }
 
 // observeLocked accumulates one latency sample and runs a gradient

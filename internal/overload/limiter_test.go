@@ -139,8 +139,8 @@ func TestBrownoutLadder(t *testing.T) {
 	l.Release(probe, false)
 
 	st := l.Stats()
-	if st.ShedScan.Value() != 1 || st.ShedLow.Value() != 1 ||
-		st.ShedNormal.Value() != 1 || st.ShedHigh.Value() != 1 {
+	if st.Shed.Scan.Value() != 1 || st.Shed.Low.Value() != 1 ||
+		st.Shed.Normal.Value() != 1 || st.Shed.High.Value() != 1 {
 		t.Fatalf("shed by class = %s", st.String())
 	}
 
@@ -439,8 +439,8 @@ func TestLimiterConcurrentHammer(t *testing.T) {
 	if st.Admitted.Value() != granted.v() {
 		t.Fatalf("Admitted = %d, granted tickets = %d", st.Admitted.Value(), granted.v())
 	}
-	if st.ShedTotal() != shed.v() {
-		t.Fatalf("ShedTotal = %d, callers saw %d", st.ShedTotal(), shed.v())
+	if st.Shed.Value() != shed.v() {
+		t.Fatalf("Shed = %d, callers saw %d", st.Shed.Value(), shed.v())
 	}
 	if st.Inflight.Value() != 0 {
 		t.Fatalf("Inflight after drain = %d", st.Inflight.Value())

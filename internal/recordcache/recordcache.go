@@ -20,9 +20,6 @@ import (
 
 // Stats counts cache events.
 type Stats struct {
-	Hits      metrics.Counter
-	Misses    metrics.Counter
-	Inserts   metrics.Counter
 	Evictions metrics.Counter
 }
 
@@ -73,7 +70,6 @@ func (r *Ring) Add(key, val []byte) {
 	el := r.order.PushBack(&ringEntry{key: string(key), val: append([]byte(nil), val...)})
 	r.index[string(key)] = el
 	r.used += sz
-	r.stats.Inserts.Inc()
 	for r.used > r.budget && r.order.Len() > 1 {
 		front := r.order.Front()
 		e := front.Value.(*ringEntry)
@@ -91,10 +87,8 @@ func (r *Ring) Get(key []byte) ([]byte, bool) {
 	defer r.mu.Unlock()
 	el, ok := r.index[string(key)]
 	if !ok {
-		r.stats.Misses.Inc()
 		return nil, false
 	}
-	r.stats.Hits.Inc()
 	return el.Value.(*ringEntry).val, true
 }
 

@@ -175,7 +175,6 @@ func (s *Shipper) setAcked(lsn int64) {
 	s.mu.Lock()
 	if lsn > s.acked {
 		s.acked = lsn
-		s.stats.AckedLSN.Set(lsn)
 		close(s.advance)
 		s.advance = make(chan struct{})
 	}
@@ -271,7 +270,6 @@ func (s *Shipper) run() {
 			})
 			s.stats.BatchesShipped.Inc()
 			s.stats.BytesShipped.Add(int64(len(batch)))
-			s.stats.ShipCursor.Set(end)
 			inflight = append(inflight, end)
 			cursor = end
 		}

@@ -51,27 +51,25 @@ const linkQueue = 128
 type Link struct {
 	mu     sync.Mutex
 	net    *fault.NetInjector
-	frames chan Frame
-	acks   chan Ack
-	heldF  *Frame
-	heldA  *Ack
+	frames lane[Frame]
+	acks   lane[Ack]
 	closed bool
+}
+
+// lane is one direction of a Link: its bounded queue and the message held
+// back for reordering, if any (under Link.mu).
+type lane[T any] struct {
+	ch   chan T
+	held *T
 }
 
 // NewLink returns a link; net may be nil for a perfect network.
 func NewLink(net *fault.NetInjector) *Link {
 	return &Link{
 		net:    net,
-		frames: make(chan Frame, linkQueue),
-		acks:   make(chan Ack, linkQueue),
+		frames: lane[Frame]{ch: make(chan Frame, linkQueue)},
+		acks:   lane[Ack]{ch: make(chan Ack, linkQueue)},
 	}
-}
-
-func (l *Link) outcome() fault.NetOutcome {
-	if l.net == nil {
-		return fault.NetOutcome{}
-	}
-	return l.net.Outcome()
 }
 
 // SendFrame ships a frame toward the standby, subject to network faults.
@@ -84,30 +82,7 @@ func (l *Link) SendFrame(f Frame) {
 	if err != nil {
 		return // undecodable on arrival: the network ate a torn message
 	}
-	f = g
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	out := l.outcome()
-	if out.Drop {
-		return
-	}
-	if out.Hold && l.heldF == nil {
-		cp := f
-		l.heldF = &cp
-		return
-	}
-	l.pushFrameLocked(f)
-	if out.Dup {
-		l.pushFrameLocked(f)
-	}
-	if l.heldF != nil {
-		held := *l.heldF
-		l.heldF = nil
-		l.pushFrameLocked(held)
-	}
+	send(l, &l.frames, g)
 }
 
 // SendAck ships an ack toward the shipper, subject to the same faults and
@@ -117,56 +92,57 @@ func (l *Link) SendAck(a Ack) {
 	if err != nil {
 		return
 	}
-	a = b
+	send(l, &l.acks, b)
+}
+
+// send delivers m along one direction of l: the network may drop it,
+// duplicate it, or hold it until the next message in that direction.
+func send[T any](l *Link, d *lane[T], m T) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return
 	}
-	out := l.outcome()
+	var out fault.NetOutcome
+	if l.net != nil {
+		out = l.net.Outcome()
+	}
 	if out.Drop {
 		return
 	}
-	if out.Hold && l.heldA == nil {
-		cp := a
-		l.heldA = &cp
+	if out.Hold && d.held == nil {
+		d.held = &m
 		return
 	}
-	l.pushAckLocked(a)
+	d.push(m)
 	if out.Dup {
-		l.pushAckLocked(a)
+		d.push(m)
 	}
-	if l.heldA != nil {
-		held := *l.heldA
-		l.heldA = nil
-		l.pushAckLocked(held)
-	}
-}
-
-func (l *Link) pushFrameLocked(f Frame) {
-	select {
-	case l.frames <- f:
-	default: // queue overflow: the network dropped it
+	if d.held != nil {
+		held := *d.held
+		d.held = nil
+		d.push(held)
 	}
 }
 
-func (l *Link) pushAckLocked(a Ack) {
+// push enqueues m; a full queue drops it, like a congested network path.
+func (d *lane[T]) push(m T) {
 	select {
-	case l.acks <- a:
+	case d.ch <- m:
 	default:
 	}
 }
 
 // Frames is the standby's receive channel.
-func (l *Link) Frames() <-chan Frame { return l.frames }
+func (l *Link) Frames() <-chan Frame { return l.frames.ch }
 
 // Acks is the shipper's receive channel.
-func (l *Link) Acks() <-chan Ack { return l.acks }
+func (l *Link) Acks() <-chan Ack { return l.acks.ch }
 
 // Close makes subsequent sends no-ops (receivers drain what is queued).
 func (l *Link) Close() {
 	l.mu.Lock()
 	l.closed = true
-	l.heldF, l.heldA = nil, nil
+	l.frames.held, l.acks.held = nil, nil
 	l.mu.Unlock()
 }

@@ -85,7 +85,7 @@ func TestScatterRespectsShardLimiter(t *testing.T) {
 	}
 	// The refused shard never consumed an admission slot: its engine saw
 	// no scan at all, so the shed is visible only at the scatter layer.
-	if r.Engine(0).Limiter().Stats().ShedScan.Value() != 0 {
+	if r.Engine(0).Limiter().Stats().Shed.Scan.Value() != 0 {
 		t.Fatal("scatter dispatched a doomed scan into the shard's limiter")
 	}
 }

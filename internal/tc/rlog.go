@@ -27,6 +27,23 @@ type redoEntry struct {
 	isDelete bool
 }
 
+// redo applies entries to dc as blind updates, stopping at the first
+// error: the one redo step commit, recovery and log shipping share.
+func redo(dc DataComponent, entries []redoEntry) error {
+	for _, e := range entries {
+		var err error
+		if e.isDelete {
+			err = dc.Delete(e.key)
+		} else {
+			err = dc.BlindWrite(e.key, e.val)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // commitRecord is the unit appended to the recovery log: all writes of one
 // transaction plus its commit timestamp.
 type commitRecord struct {
@@ -240,15 +257,6 @@ type ReplaySummary struct {
 func (s ReplaySummary) String() string {
 	return fmt.Sprintf("replayed %d commit record(s), log truncated at byte %d (%s)",
 		s.Records, s.TruncatedAt, s.Reason)
-}
-
-// replayLog scans the durable log in order, invoking fn per commit record,
-// and reports where and why the scan stopped. Device reads retry transient
-// faults under the given policy.
-func replayLog(dev ssd.Dev, retry fault.RetryPolicy, m *metrics.RetryStats, fn func(commitRecord) error) (ReplaySummary, error) {
-	return replayRange(dev, 0, 0, retry, m, func(rec commitRecord, _ int64) error {
-		return fn(rec)
-	})
 }
 
 // replayRange scans log records in [from, to); from must be a record

@@ -39,7 +39,7 @@ func TestReplayTornFlushSweep(t *testing.T) {
 		}
 
 		var got []commitRecord
-		sum, err := replayLog(dev, fault.DefaultRetry(), nil, func(r commitRecord) error {
+		sum, err := replayRange(dev, 0, 0, fault.DefaultRetry(), nil, func(r commitRecord, _ int64) error {
 			got = append(got, r)
 			return nil
 		})

@@ -123,6 +123,5 @@ func (t *Tx) Scan(start []byte, limit int, fn func(key, val []byte) bool) (err e
 		}
 		oi++
 	}
-	t.tc.stats.Scans.Inc()
 	return nil
 }

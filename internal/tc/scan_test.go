@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"costperf/internal/bwtree"
+	"costperf/internal/obs"
 	"costperf/internal/ssd"
 )
 
@@ -190,7 +191,8 @@ func TestScanOverBwTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{DC: tree, LogDevice: ssd.New(ssd.SamsungSSD)})
+	tr := obs.NewTracer("tc")
+	c, err := New(Config{DC: tree, LogDevice: ssd.New(ssd.SamsungSSD), Obs: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +218,8 @@ func TestScanOverBwTree(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("scan = %v, want %v", got, want)
 	}
-	if c.Stats().Scans.Value() == 0 {
-		t.Fatal("scan not counted")
+	if n := tr.Snapshot().ByOp["scan"]; n != 1 {
+		t.Fatalf("scan spans = %d, want 1", n)
 	}
 }
 

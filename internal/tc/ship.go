@@ -122,16 +122,8 @@ func ApplyLogBytes(buf []byte, dc DataComponent) (records int, maxTS uint64, con
 		if derr != nil {
 			return records, maxTS, int64(off), fmt.Errorf("tc: batch record at %d: %w", off, derr)
 		}
-		for _, e := range rec.entries {
-			var aerr error
-			if e.isDelete {
-				aerr = dc.Delete(e.key)
-			} else {
-				aerr = dc.BlindWrite(e.key, e.val)
-			}
-			if aerr != nil {
-				return records, maxTS, int64(off), aerr
-			}
+		if aerr := redo(dc, rec.entries); aerr != nil {
+			return records, maxTS, int64(off), aerr
 		}
 		if rec.commitTS > maxTS {
 			maxTS = rec.commitTS
@@ -173,18 +165,10 @@ func RecoverTo(logDevice ssd.Dev, dc DataComponent, opts RecoverOpts) (RecoverRe
 		if rec.commitTS > res.MaxTS {
 			res.MaxTS = rec.commitTS
 		}
-		for _, e := range rec.entries {
-			var aerr error
-			if e.isDelete {
-				aerr = dc.Delete(e.key)
-			} else {
-				aerr = dc.BlindWrite(e.key, e.val)
-			}
-			if aerr != nil {
-				return aerr
-			}
-			res.Applied++
+		if err := redo(dc, rec.entries); err != nil {
+			return err
 		}
+		res.Applied += len(rec.entries)
 		return nil
 	})
 	if errors.Is(err, errStopReplay) {

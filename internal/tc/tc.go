@@ -65,15 +65,11 @@ func (kv *keyVersions) visible(ts uint64) (version, bool) {
 
 // Stats counts TC events.
 type Stats struct {
-	Begins           metrics.Counter
-	Commits          metrics.Counter
-	Aborts           metrics.Counter
 	Conflicts        metrics.Counter
 	VersionStoreHits metrics.Counter // reads served by MVCC versions (log-buffer record cache)
 	ReadCacheHits    metrics.Counter // reads served by the read cache
 	DCReads          metrics.Counter // reads that had to go to the data component
 	VersionsDropped  metrics.Counter // versions reclaimed by commit-time trims and GC
-	Scans            metrics.Counter
 	// Retry meters the transient-fault retry budget spent on log I/O.
 	Retry metrics.RetryStats
 	// Health latches degraded (read-only) after a persistent log failure.
@@ -184,7 +180,6 @@ func (tc *TC) Begin() (*Tx, error) {
 	begin := tc.clock.Load()
 	tc.active[id] = begin
 	tc.mu.Unlock()
-	tc.stats.Begins.Inc()
 	return &Tx{tc: tc, id: id, beginTS: begin, writes: map[string]redoEntry{}}, nil
 }
 
@@ -298,7 +293,6 @@ func (t *Tx) Commit() (err error) {
 			tc.mu.Lock()
 			delete(tc.active, t.id)
 			tc.mu.Unlock()
-			tc.stats.Aborts.Inc()
 			return err
 		}
 	}
@@ -306,7 +300,6 @@ func (t *Tx) Commit() (err error) {
 	delete(tc.active, t.id)
 	if len(t.writes) == 0 {
 		tc.mu.Unlock()
-		tc.stats.Commits.Inc()
 		return nil
 	}
 	// Write-write conflict check: another committer touched our keys
@@ -315,7 +308,6 @@ func (t *Tx) Commit() (err error) {
 		if kv := tc.mvcc[k]; kv != nil && kv.vs[0].commitTS > t.beginTS {
 			tc.mu.Unlock()
 			tc.stats.Conflicts.Inc()
-			tc.stats.Aborts.Inc()
 			return ErrConflict
 		}
 	}
@@ -349,13 +341,11 @@ func (t *Tx) Commit() (err error) {
 		// live snapshot.
 		pv, pok, err := tc.cfg.DC.Get(w.key)
 		if err != nil {
-			tc.stats.Aborts.Inc()
 			return err
 		}
 		tc.mvcc[string(w.key)] = &keyVersions{vs: []version{{val: pv, isDelete: !pok}}}
 	}
 	if err := tc.log.append(rec); err != nil {
-		tc.stats.Aborts.Inc()
 		return err
 	}
 	for _, w := range rec.entries {
@@ -368,21 +358,9 @@ func (t *Tx) Commit() (err error) {
 		copy(kv.vs[1:], kv.vs)
 		kv.vs[0] = version{val: w.val, commitTS: commitTS, isDelete: w.isDelete}
 		tc.trimLocked(kv, oldest)
-	}
-	for _, w := range rec.entries {
 		tc.rcache.Invalidate(w.key)
-		var err error
-		if w.isDelete {
-			err = tc.cfg.DC.Delete(w.key)
-		} else {
-			err = tc.cfg.DC.BlindWrite(w.key, w.val)
-		}
-		if err != nil {
-			return err
-		}
 	}
-	tc.stats.Commits.Inc()
-	return nil
+	return redo(tc.cfg.DC, rec.entries)
 }
 
 // Abort discards the transaction.
@@ -395,7 +373,6 @@ func (t *Tx) Abort() {
 	tc.mu.Lock()
 	delete(tc.active, t.id)
 	tc.mu.Unlock()
-	tc.stats.Aborts.Inc()
 }
 
 // Flush forces the recovery log to the device (group commit).

@@ -256,7 +256,7 @@ func TestClassReachesEngine(t *testing.T) {
 	if !errors.Is(err, engine.ErrOverload) && !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("scan against saturated engine = %v, want overload-shed", err)
 	}
-	if eng.Limiter().Stats().ShedScan.Value() == 0 {
+	if eng.Limiter().Stats().Shed.Scan.Value() == 0 {
 		t.Fatal("the wire scan was not shed at scan class")
 	}
 	for i := 0; i < 3; i++ {

@@ -1,16 +1,10 @@
 #!/bin/sh
 # check.sh — the repo's full verification pass: vet, build, the complete
-# test suite, and a race-enabled run of the concurrency-sensitive storage
-# packages (the ones the fault-injection, crash-recovery, and engine
-# front-end work hardens).
+# test suite, and the complete test suite again under the race detector.
 #
 # Set CHECK_SHORT=1 for the CI-friendly variant: identical coverage, but
-# the seeded chaos/crash matrices run their -short subset of seeds.
-#
-# Set CHECK_RACE=1 to run the entire module under the race detector (with
-# -short workloads) instead of the targeted storage-stack list — broader
-# coverage (obs, workload, experiments, the differential suite) at several
-# times the runtime.
+# the seeded chaos/crash matrices run their -short subset of seeds (in both
+# the plain and the race-enabled pass).
 #
 # Set CHECK_SCRUB=1 for the long scrub-soak pass: a mirrored device under
 # sustained traffic with latent bit flips, verifying the background
@@ -83,25 +77,7 @@ go test $SHORT ./...
 go test -run '^$' -bench 'Scan|Compaction' -benchtime 1x ./internal/lsm
 go test -run '^$' -bench 'Commit|Read' -benchtime 1x ./internal/tc
 go test -run '^$' -bench 'RoundTrip' -benchtime 1x ./internal/wire
-if [ -n "${CHECK_RACE:-}" ]; then
-    go test -race -short ./...
-else
-    go test $SHORT -race \
-        ./internal/bwtree \
-        ./internal/llama/... \
-        ./internal/tc \
-        ./internal/ssd \
-        ./internal/fault \
-        ./internal/lsm \
-        ./internal/metrics \
-        ./internal/backoff \
-        ./internal/overload \
-        ./internal/engine \
-        ./internal/repl \
-        ./internal/shard \
-        ./internal/wire/... \
-        ./internal/integration
-fi
+go test $SHORT -race ./...
 # The soak gates, one row each: gate variable, race detector (on/off),
 # timeout, -run regex, comma-separated packages, full-sweep flag (- for
 # none). A gate runs when its variable is set, with the variable set to 1
