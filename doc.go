@@ -13,8 +13,9 @@
 //     a latch-free Bw-tree over LLAMA (mapping table + log-structured
 //     store) on a simulated flash SSD (Deuteronomy's data component), a
 //     MassTree, a classic buffer-pool B-tree, an LSM tree (the RocksDB
-//     stand-in), and a Deuteronomy-style transaction component with MVCC,
-//     a recovery-log record cache, and a read cache.
+//     stand-in), and a Deuteronomy-style transaction component with an
+//     MVCC version store as updated-record cache, a recovery log on
+//     LLAMA's log store, and a read cache.
 //
 //   - Deterministic execution-cost accounting (Session/Tracker) that
 //     measures the paper's quantities — R, P0/PF, M_x, P_x — without Go

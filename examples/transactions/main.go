@@ -1,5 +1,5 @@
-// transactions: the full Deuteronomy stack — transaction component (MVCC +
-// recovery-log record cache + read cache) over the Bw-tree data component —
+// transactions: the full Deuteronomy stack — transaction component (MVCC
+// version store as updated-record cache + read cache) over the Bw-tree data component —
 // including a crash and recovery, and the Section 6.3 record-cache effect:
 // most reads never reach the data component, let alone the device.
 package main
@@ -65,7 +65,7 @@ func main() {
 	total := st.VersionStoreHits.Value() + st.ReadCacheHits.Value() + st.DCReads.Value()
 	fmt.Printf("ran 5000 transfer transactions: %d commits, %d conflicts\n", commits, conflicts)
 	fmt.Printf("read path (Figure 6 cascade) over %d reads:\n", total)
-	fmt.Printf("  MVCC version store (recovery-log record cache): %d\n", st.VersionStoreHits.Value())
+	fmt.Printf("  MVCC version store (updated-record cache):      %d\n", st.VersionStoreHits.Value())
 	fmt.Printf("  log-structured read cache:                      %d\n", st.ReadCacheHits.Value())
 	fmt.Printf("  data component (Bw-tree):                       %d\n", st.DCReads.Value())
 	fmt.Printf("every cache hit avoids the DC lookup and any I/O (Section 6.3)\n\n")

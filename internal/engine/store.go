@@ -203,5 +203,5 @@ func (s *tcStore) Scan(ctx context.Context, start []byte, limit int, fn func(k, 
 	return tx.Scan(start, limit, fn)
 }
 
-func (s *tcStore) Health() *metrics.Health { return &s.t.Stats().Health }
+func (s *tcStore) Health() *metrics.Health { return s.t.Health() }
 func (s *tcStore) Close() error            { return s.t.Close() }

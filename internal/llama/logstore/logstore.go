@@ -12,6 +12,7 @@
 package logstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -37,6 +38,9 @@ const (
 	// KindPad fills the unused tail of a segment so records never span
 	// segment boundaries.
 	KindPad Kind = 3
+	// KindCommit is a transaction component's commit record (the TC's redo
+	// log is a Store too; its payload is the TC's own codec).
+	KindCommit Kind = 4
 )
 
 // Address locates a record in the log. The zero Address is "none".
@@ -71,6 +75,11 @@ type Record struct {
 const (
 	magic      = 0xD7 // first header byte of every record
 	headerSize = 1 + 1 + 8 + 4 + 4
+
+	// DefaultBufferBytes and DefaultSegmentBytes are the write-buffer and
+	// segment sizes a zero Config gets.
+	DefaultBufferBytes  = 1 << 20
+	DefaultSegmentBytes = 4 << 20
 )
 
 // Common errors.
@@ -110,10 +119,10 @@ func (c *Config) setDefaults() error {
 		return errors.New("logstore: nil device")
 	}
 	if c.BufferBytes == 0 {
-		c.BufferBytes = 1 << 20
+		c.BufferBytes = DefaultBufferBytes
 	}
 	if c.SegmentBytes == 0 {
-		c.SegmentBytes = 4 << 20
+		c.SegmentBytes = DefaultSegmentBytes
 	}
 	if c.BufferBytes < headerSize+1 {
 		return fmt.Errorf("logstore: buffer %d too small", c.BufferBytes)
@@ -184,19 +193,14 @@ func Open(cfg Config) (*Store, error) {
 // initialized assuming every scanned record is live; the owner invalidates
 // superseded records as it rebuilds its mapping.
 func (s *Store) recover() error {
-	tail := int64(0)
-	err := s.scanDevice(func(rec Record, addr Address, recLen int64) bool {
+	tail, err := s.scan(func(rec Record, off, end int64) error {
 		if rec.Kind != KindPad {
-			s.accountAppend(addr.offset(), recLen)
+			s.accountAppend(off, end-off)
 		}
-		tail = addr.offset() + recLen
-		return true
+		return nil
 	})
-	if err != nil {
-		return err
-	}
 	s.bufStart = tail
-	return nil
+	return err
 }
 
 func (s *Store) segIndex(off int64) int64 { return off / s.cfg.SegmentBytes }
@@ -214,6 +218,14 @@ func (s *Store) accountAppend(off, length int64) {
 
 // Stats returns the store's counters.
 func (s *Store) Stats() *Stats { return &s.stats }
+
+// Flushed returns the durable end of the log: every byte below it reached
+// the device in a buffer flush.
+func (s *Store) Flushed() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.bufStart
+}
 
 // Tail returns the current end-of-log offset (including buffered data).
 func (s *Store) Tail() int64 {
@@ -242,7 +254,9 @@ func encodeHeader(dst []byte, kind Kind, pid uint64, payload []byte) {
 func (s *Store) Append(pid uint64, kind Kind, payload []byte, ch *sim.Charger) (_ Address, err error) {
 	sp := s.cfg.Obs.Start(obs.OpPut)
 	defer func() { sp.End(err) }()
-	if kind != KindBase && kind != KindDelta {
+	switch kind {
+	case KindBase, KindDelta, KindCommit:
+	default:
 		return Address{}, fmt.Errorf("logstore: cannot append kind %d", kind)
 	}
 	recLen := int64(headerSize + len(payload))
@@ -467,67 +481,47 @@ func (s *Store) Utilization() float64 {
 	return float64(live) / float64(total)
 }
 
-// scanDevice iterates all framed records on the device (not the buffer),
-// in log order. Because records never span segment boundaries, the scan
-// resynchronizes at the next segment after an invalid frame — a hole left
-// by garbage collection (trimmed segment) or a torn write — and stops
-// only at the device's high-water mark. fn gets the record, its address,
-// and its framed length.
-func (s *Store) scanDevice(fn func(rec Record, addr Address, recLen int64) bool) error {
-	off := int64(0)
+// errStopScan ends a Scan whose callback returned false.
+var errStopScan = errors.New("logstore: scan stopped")
+
+// scan walks every frame on the device (not the buffer) in log order. A
+// walk that stops at damage — a hole left by garbage collection (trimmed
+// segment) or a torn write — resumes at the next segment boundary, since
+// records never span one; only the device's high-water mark ends the scan.
+// It returns the log tail: where the last walk ended cleanly, else the end
+// of the last whole frame.
+func (s *Store) scan(fn WalkFunc) (int64, error) {
 	hw := s.cfg.Device.HighWater()
-	nextSegment := func(o int64) int64 {
-		return (s.segIndex(o) + 1) * s.cfg.SegmentBytes
-	}
-	for off+headerSize <= hw {
-		var hdr []byte
-		err := fault.DefaultRetry().Do(&s.stats.Retry, func() error {
-			var rerr error
-			hdr, rerr = s.cfg.Device.ReadAt(off, headerSize, nil)
-			return rerr
+	tail := int64(0)
+	for from := int64(0); from < hw; {
+		w, err := walkDevice(s.cfg.Device, &s.stats.Retry, s.cfg.SegmentBytes, from, 0, func(rec Record, off, end int64) error {
+			tail = end
+			return fn(rec, off, end)
 		})
 		if err != nil {
-			return err
+			return tail, err
 		}
-		if hdr[0] != magic {
-			off = nextSegment(off) // GC hole or tail padding: resync
-			continue
+		if w.Reason == ReplayCleanEnd {
+			return w.End, nil
 		}
-		plen := int64(binary.BigEndian.Uint32(hdr[10:]))
-		if off+headerSize+plen > hw {
-			return nil // torn tail record
-		}
-		var raw []byte
-		err = fault.DefaultRetry().Do(&s.stats.Retry, func() error {
-			var rerr error
-			raw, rerr = s.cfg.Device.ReadAt(off, headerSize+int(plen), nil)
-			return rerr
-		})
-		if err != nil {
-			return err
-		}
-		rec, err := decode(raw, int32(plen))
-		if err != nil {
-			off = nextSegment(off) // torn write: resync at the next segment
-			continue
-		}
-		if !fn(rec, Address{Off: off + 1, Len: int32(plen)}, headerSize+plen) {
-			return nil
-		}
-		off += headerSize + plen
+		from = (s.segIndex(w.End) + 1) * s.cfg.SegmentBytes
 	}
-	return nil
+	return tail, nil
 }
 
 // Scan iterates every non-pad record on durable storage in log order,
 // for recovery. The payload passed to fn is only valid during the call.
 func (s *Store) Scan(fn func(rec Record, addr Address) bool) error {
-	return s.scanDevice(func(rec Record, addr Address, _ int64) bool {
-		if rec.Kind == KindPad {
-			return true
+	_, err := s.scan(func(rec Record, off, _ int64) error {
+		if rec.Kind != KindPad && !fn(rec, Address{Off: off + 1, Len: int32(len(rec.Payload))}) {
+			return errStopScan
 		}
-		return fn(rec, addr)
+		return nil
 	})
+	if errors.Is(err, errStopScan) {
+		return nil
+	}
+	return err
 }
 
 // CollectSegment runs one garbage-collection pass over the coldest sealed
@@ -579,40 +573,22 @@ func (s *Store) CollectSegment(relocate func(rec Record, old Address) bool, ch *
 	if hw := s.cfg.Device.HighWater(); segOff+segLen > hw {
 		segLen = hw - segOff
 	}
-	var raw []byte
-	err := fault.DefaultRetry().Do(&s.stats.Retry, func() error {
-		var rerr error
-		raw, rerr = s.cfg.Device.ReadAt(segOff, int(segLen), nil)
-		return rerr
-	})
+	raw, err := readAt(s.cfg.Device, &s.stats.Retry, segOff, int(segLen))
 	if err != nil {
 		return 0, err
 	}
+	// Offer the segment's whole frames up to the first damaged one.
 	relocated := int64(0)
-	off := int64(0)
-	for off+headerSize <= segLen {
-		if raw[off] != magic {
-			break
+	WalkBytes(raw, segOff, segOff+segLen, s.cfg.SegmentBytes, func(rec Record, off, end int64) error {
+		if rec.Kind == KindPad {
+			return nil
 		}
-		plen := int64(binary.BigEndian.Uint32(raw[off+10:]))
-		if off+headerSize+plen > segLen {
-			break
+		rec.Payload = bytes.Clone(rec.Payload) // raw is reused after trim
+		if relocate(rec, Address{Off: off + 1, Len: int32(len(rec.Payload))}) {
+			relocated += end - off
 		}
-		rec, err := decode(raw[off:off+headerSize+plen], int32(plen))
-		if err != nil {
-			break
-		}
-		if rec.Kind != KindPad {
-			// Copy payload: raw is reused after trim.
-			p := make([]byte, len(rec.Payload))
-			copy(p, rec.Payload)
-			rec.Payload = p
-			if relocate(rec, Address{Off: segOff + off + 1, Len: int32(plen)}) {
-				relocated += headerSize + plen
-			}
-		}
-		off += headerSize + plen
-	}
+		return nil
+	})
 	ch.Copy(int(relocated))
 
 	if err := s.cfg.Device.Trim(segOff, s.cfg.SegmentBytes); err != nil {

@@ -180,7 +180,7 @@ func (c *Cluster) watch() {
 			if done {
 				return
 			}
-			if p.Stats().Health.Degraded() {
+			if p.Health().Degraded() {
 				c.Promote()
 				return
 			}
@@ -226,7 +226,9 @@ func (c *Cluster) StandbyGet(key []byte) ([]byte, bool, error) {
 // Promote fails over to the standby: bump the epoch (fencing every commit
 // the old primary tries from now on), drain the ack'd window, seal the
 // standby, and build a new TC over the standby's state that continues the
-// shipped log in place. Idempotent; safe to call concurrently.
+// shipped log in place: opening the standby's log finds its tail, which
+// must be the applied LSN the seal returned (ErrLogTail if not).
+// Idempotent; safe to call concurrently.
 func (c *Cluster) Promote() error {
 	c.promoteOnce.Do(func() { c.promoteErr = c.promote() })
 	return c.promoteErr
@@ -252,11 +254,14 @@ func (c *Cluster) promote() error {
 		LogDevice:    c.cfg.StandbyLog,
 		Obs:          c.cfg.Obs,
 		CommitGate:   c.gateFor(newEpoch),
-		LogStartLSN:  appliedLSN,
 		InitialClock: maxTS,
 	})
 	if err != nil {
 		return err
+	}
+	if tail := replacement.DurableLSN(); tail != appliedLSN {
+		replacement.Close()
+		return fmt.Errorf("%w: standby log reopened at %d, applied through %d", ErrLogTail, tail, appliedLSN)
 	}
 	c.mu.Lock()
 	c.primary = replacement
@@ -378,8 +383,8 @@ func (c *Cluster) Health() *metrics.Health {
 	c.mu.Lock()
 	p, promoted := c.primary, c.promoted
 	c.mu.Unlock()
-	if promoted && p.Stats().Health.Degraded() {
-		c.health.Degrade("promoted primary degraded: " + p.Stats().Health.Reason())
+	if promoted && p.Health().Degraded() {
+		c.health.Degrade("promoted primary degraded: " + p.Health().Reason())
 	}
 	return &c.health
 }

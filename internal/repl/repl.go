@@ -57,4 +57,8 @@ var (
 	// ErrPromoted is returned by shipper operations after failover
 	// dissolved the old primary/standby pairing.
 	ErrPromoted = errors.New("repl: cluster already promoted")
+	// ErrLogTail refuses to continue a sealed standby's log whose reopened
+	// tail is not the applied LSN the seal returned: the log holds bytes
+	// the standby never applied, or lacks bytes it did.
+	ErrLogTail = errors.New("repl: reopened log tail is not the applied LSN")
 )

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"costperf/internal/fault"
+	"costperf/internal/llama/logstore"
 	"costperf/internal/ssd"
 	"costperf/internal/tc"
 )
@@ -532,5 +533,130 @@ func TestShipperResumesAtEveryBatchBoundary(t *testing.T) {
 				t.Fatal("standby log diverged from primary log bytes")
 			}
 		})
+	}
+}
+
+// TestShippedBatchSpansSegmentTail fills the primary's log to within gap
+// bytes of its first segment boundary, then commits once more: that
+// commit's frame opens the next segment, so its shipped batch carries the
+// segment's tail first — unframed zero fill for a gap shorter than a frame
+// header, a pad frame otherwise. The standby must hold the primary's bytes
+// at the primary's offsets, PITR at either side of the boundary must
+// rebuild the acked state, and a promotion must continue the log there.
+func TestShippedBatchSpansSegmentTail(t *testing.T) {
+	const seg = logstore.DefaultSegmentBytes
+	for _, gap := range []int64{5, 100} {
+		t.Run(fmt.Sprintf("gap%d", gap), func(t *testing.T) {
+			p := newPair(t, nil, func(c *ClusterConfig) { c.BatchBytes = 1 << 20 })
+			ctx := context.Background()
+			n := 0
+			put := func(vlen int) {
+				t.Helper()
+				if err := p.c.Put(ctx, []byte(fmt.Sprintf("k%04d", n)), bytes.Repeat([]byte{byte(n)}, vlen)); err != nil {
+					t.Fatalf("put %d: %v", n, err)
+				}
+				n++
+			}
+			// 48 KiB values keep every commit timestamp a one-byte varint,
+			// so a frame's length moves one-for-one with its value's.
+			const vlen = 48 << 10
+			var frame int64
+			for {
+				before := p.c.Primary().DurableLSN()
+				put(vlen)
+				frame = p.c.Primary().DurableLSN() - before
+				if seg-p.c.Primary().DurableLSN() < 2*frame {
+					break
+				}
+			}
+			room := seg - p.c.Primary().DurableLSN()
+			put(vlen + int(room-gap-frame))
+			tailStart := p.c.Primary().DurableLSN()
+			if tailStart != seg-gap {
+				t.Fatalf("segment filled to %d, want %d", tailStart, seg-gap)
+			}
+			before := p.primaryDC.snapshot()
+			put(vlen)
+			after := p.primaryDC.snapshot()
+			durable := p.c.Primary().DurableLSN()
+			if applied := p.c.Standby().AppliedLSN(); applied != durable || durable <= seg {
+				t.Fatalf("standby applied %d, primary durable %d, segment boundary %d", applied, durable, seg)
+			}
+			// The last commit's batch is cut from the segment tail's start.
+			// Under a bound smaller than a frame, the segment's tail ships
+			// alone and the oversized frame after it ships whole.
+			for _, b := range []struct {
+				from  int64
+				bound int
+				end   int64
+			}{{tailStart, 1 << 20, durable}, {tailStart, 512, seg}, {seg, 512, durable}} {
+				if _, end, err := tc.ReadLogBatch(p.primaryLog, b.from, durable, b.bound); err != nil || end != b.end {
+					t.Fatalf("batch from %d under %d bytes = end %d, %v; want %d", b.from, b.bound, end, err, b.end)
+				}
+			}
+			pb, err := p.primaryLog.ReadAt(0, int(durable), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sb, err := p.standbyLog.ReadAt(0, int(durable), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(pb, sb) {
+				t.Fatal("standby log diverged from primary log bytes")
+			}
+			// A pad frame starts with logstore's magic and the pad kind;
+			// fill too short for a header is zeros.
+			if isPad := pb[tailStart] == 0xD7 && logstore.Kind(pb[tailStart+1]) == logstore.KindPad; isPad != (gap >= 18) {
+				t.Fatalf("segment tail at %d starts %x, want a pad frame: %v", tailStart, pb[tailStart:tailStart+2], gap >= 18)
+			}
+			for _, pt := range []struct {
+				lsn  int64
+				want map[string][]byte
+			}{{tailStart, before}, {seg, before}, {durable, after}} {
+				dst := newMapDC()
+				res, err := p.c.Standby().PITRToLSN(pt.lsn, dst)
+				if err != nil || res.Replay.TruncatedAt != pt.lsn || res.Replay.Reason != logstore.ReplayCleanEnd {
+					t.Fatalf("PITRToLSN(%d) = %v, %v", pt.lsn, res.Replay, err)
+				}
+				sameState(t, pt.want, dst.snapshot(), fmt.Sprintf("PITR to %d", pt.lsn))
+			}
+			if err := p.c.Promote(); err != nil {
+				t.Fatalf("promote: %v", err)
+			}
+			put(10)
+			if v, ok, err := p.c.Get(ctx, []byte(fmt.Sprintf("k%04d", n-1))); err != nil || !ok || len(v) != 10 {
+				t.Fatalf("get after promotion = %d bytes, %v, %v", len(v), ok, err)
+			}
+		})
+	}
+}
+
+// TestPromotionRefusesLogTailMismatch writes a frame the standby never
+// applied past its applied LSN: the promoted TC's log would reopen there,
+// so promotion fails with ErrLogTail and installs no new primary.
+func TestPromotionRefusesLogTailMismatch(t *testing.T) {
+	p := newPair(t, nil, nil)
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		if err := p.c.Put(ctx, []byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	stray, err := logstore.Open(logstore.Config{Device: p.standbyLog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stray.Append(0, logstore.KindCommit, []byte("never applied"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := stray.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.c.Promote(); !errors.Is(err, ErrLogTail) {
+		t.Fatalf("promote = %v, want ErrLogTail", err)
+	}
+	if p.c.Promoted() {
+		t.Fatal("cluster promoted over a mismatched log")
 	}
 }

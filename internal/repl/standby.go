@@ -210,7 +210,7 @@ func (s *Standby) Handle(f Frame) (Ack, bool) {
 
 	// Persist first, apply second: once acked, the bytes must survive a
 	// standby restart, and replaying them is idempotent (blind writes).
-	fresh := f.Payload[s.applied-f.From:] // record-aligned: applied is a batch boundary
+	fresh := f.Payload[s.applied-f.From:] // frame-aligned: applied is a batch boundary
 	err := fault.DefaultRetry().Do(nil, func() error {
 		return s.cfg.LogDevice.WriteAt(s.applied, fresh, nil)
 	})
@@ -222,7 +222,7 @@ func (s *Standby) Handle(f Frame) (Ack, bool) {
 		return s.ackLocked(false, "store"), true
 	}
 
-	records, maxTS, _, aerr := tc.ApplyLogBytes(fresh, s.cfg.DC)
+	records, maxTS, aerr := tc.ApplyLogBytes(fresh, s.applied, s.cfg.DC)
 	if aerr != nil {
 		return s.ackLocked(false, "apply"), true
 	}
@@ -312,8 +312,8 @@ func (s *Standby) PITRToTime(ts uint64, dst tc.DataComponent) (tc.RecoverResult,
 
 // Seal promotes the standby's fence to newEpoch and stops accepting
 // frames entirely; it returns the applied LSN and highest applied commit
-// timestamp — exactly the LogStartLSN and InitialClock a promoted TC
-// needs to continue the shipped log in place.
+// timestamp. A promoted TC continues the shipped log in place: its log
+// must reopen at exactly this LSN, and its clock starts at this timestamp.
 func (s *Standby) Seal(newEpoch uint64) (appliedLSN int64, maxTS uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -100,8 +100,8 @@ var shipTuning = repl.ShipperConfig{
 
 // target is one owner under construction: its slot and generation, the
 // data component and recovery-log device it is built over, the stream
-// filling them while a cutover runs, and — once sealed — the log offset
-// and commit clock its TC continues from and the owner itself.
+// filling them while a cutover runs, and — once sealed — the commit clock
+// its TC continues from and the owner itself.
 type target struct {
 	slot  int
 	gen   uint64
@@ -109,7 +109,6 @@ type target struct {
 	log   ssd.Dev
 	ship  *repl.Shipper
 	stby  *repl.Standby
-	start int64
 	clock uint64
 	own   *owner
 }
@@ -378,7 +377,9 @@ func (c *cutover) drain(ctx context.Context) error {
 // seal stops the streams, seals every standby at a higher epoch (late
 // frames from these streams are fenced, exactly like a demoted
 // primary's), and builds each new owner over its shipped log — the same
-// continuation a promoted warm standby performs. The commit clock starts
+// continuation a promoted warm standby performs, refused with
+// repl.ErrLogTail when the reopened log does not end at the sealed LSN.
+// The commit clock starts
 // at the max of what the target applied and every fenced owner's clock,
 // so the new timeline stays monotonic even when a merge folds a second
 // source in. The kind's own step then runs over the new owners; if
@@ -397,11 +398,15 @@ func (c *cutover) seal(ctx context.Context) error {
 			return fmt.Errorf("shard %d sealed at applied %d but source durable is %d: %w",
 				tg.slot, applied, durable, ErrCatchup)
 		}
-		tg.start, tg.clock = applied, max(maxTS, clock)
+		tg.clock = max(maxTS, clock)
 	}
 	var err error
 	for _, tg := range c.targets {
 		if tg.own, err = c.r.newOwner(tg); err != nil {
+			break
+		}
+		if tail := tg.own.tc.DurableLSN(); tail != durable {
+			err = fmt.Errorf("shard %d log reopened at %d, sealed at %d: %w", tg.slot, tail, durable, repl.ErrLogTail)
 			break
 		}
 	}

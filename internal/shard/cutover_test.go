@@ -7,8 +7,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"costperf/internal/llama/logstore"
 	"costperf/internal/metrics"
 	"costperf/internal/obs"
+	"costperf/internal/repl"
 	"costperf/internal/ssd"
 	"costperf/internal/tc"
 )
@@ -180,4 +182,41 @@ func TestRefusedCutoverBuildsNothing(t *testing.T) {
 	refuse("migrate on closed router", ErrClosed, migrate(1))
 	refuse("split on closed router", ErrClosed, split(1))
 	refuse("merge on closed router", ErrClosed, merge(1, 2))
+}
+
+// TestSealRefusesLogTailMismatch writes a frame the target never applied
+// onto its log after the drain: the sealed owner's log reopens past the
+// sealed LSN, so the seal fails with repl.ErrLogTail instead of
+// installing it.
+func TestSealRefusesLogTailMismatch(t *testing.T) {
+	var last ssd.Dev
+	r := newTestRouter(t, 2, func(c *Config) {
+		c.NewLog = func(name string) ssd.Dev {
+			last = ssd.New(ssd.Config{Name: name, MaxIOPS: 1e6, LatencySec: 20e-6})
+			return last
+		}
+	})
+	loadKeys(t, r, 100)
+	m, err := r.Migrate(MigrateConfig{Shard: 1, OnPhase: func(p Phase) error {
+		if p != PhaseDrain {
+			return nil
+		}
+		stray, err := logstore.Open(logstore.Config{Device: last})
+		if err != nil {
+			return err
+		}
+		if _, err := stray.Append(0, logstore.KindCommit, []byte("never applied"), nil); err != nil {
+			return err
+		}
+		return stray.Close()
+	}})
+	if err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	if err := m.Run(testCtx()); !errors.Is(err, repl.ErrLogTail) {
+		t.Fatalf("run = %v, want repl.ErrLogTail", err)
+	}
+	if m.Done() || m.Phase() != PhaseSeal {
+		t.Fatalf("after refused seal: done %v phase %v", m.Done(), m.Phase())
+	}
 }

@@ -145,7 +145,7 @@ func (o *owner) health() *metrics.Health {
 	if o.cluster != nil {
 		return o.cluster.Health()
 	}
-	return &o.tc.Stats().Health
+	return o.tc.Health()
 }
 
 // table is one immutable routing state: the placement map plus the live
@@ -313,7 +313,6 @@ func (r *Router) newOwner(tg *target) (*owner, error) {
 		t, err := tc.New(tc.Config{
 			DC: tg.dc, LogDevice: tg.log,
 			CommitGate:   o.gate,
-			LogStartLSN:  tg.start,
 			InitialClock: tg.clock,
 			Obs:          tr,
 		})

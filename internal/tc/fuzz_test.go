@@ -8,12 +8,13 @@ import (
 	"costperf/internal/fault"
 )
 
-// FuzzDecodeCommit holds the recovery-log record decoder to its contract on
-// arbitrary checksummed bodies: it fails with a fault.ErrCorrupt error, or
-// returns a record that encodeCommit writes back byte for byte — never a
-// panic or a second encoding of the same record.
+// FuzzDecodeCommit holds the commit-record codec to its contract on
+// arbitrary checksummed bodies (the payload of a logstore.KindCommit
+// frame): it fails with a fault.ErrCorrupt error, or returns a record that
+// encodeCommit writes back byte for byte — never a panic or a second
+// encoding of the same record.
 func FuzzDecodeCommit(f *testing.F) {
-	body := func(rec commitRecord) []byte { return encodeCommit(rec)[9:] }
+	body := encodeCommit
 	valid := body(commitRecord{commitTS: 300, entries: []redoEntry{
 		{key: []byte("key-00042"), val: []byte("some value")},
 		{key: []byte("gone"), isDelete: true},

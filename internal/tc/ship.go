@@ -3,28 +3,27 @@ package tc
 // This file is the log-shipping and point-in-time-recovery surface of the
 // TC: the recovery log is the replication boundary of the Deuteronomy
 // split, so the shipper (internal/repl) moves raw log bytes in
-// record-aligned batches and the standby reapplies them with the same
-// blind updates recovery uses.
+// frame-aligned batches and the standby reapplies them with the same
+// blind updates recovery uses. Batches are cut, applied and replayed by
+// logstore's one frame walker. Segment pads, including the unframed fill
+// at a segment tail, ship like any frame, so a standby's log holds the
+// primary's bytes at the primary's offsets.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"log"
 
 	"costperf/internal/fault"
+	"costperf/internal/llama/logstore"
 	"costperf/internal/ssd"
 )
 
-// DurableLSN returns the device offset up to which the recovery log is
-// durable: every byte below it is a flushed, complete frame. This is the
-// shipping horizon — batches are cut from [cursor, DurableLSN).
-func (tc *TC) DurableLSN() int64 {
-	tc.log.mu.Lock()
-	defer tc.log.mu.Unlock()
-	return tc.log.start
-}
+// DurableLSN returns the log offset up to which the recovery log is
+// durable: the log store's flushed tail, always a frame or segment
+// boundary. This is the shipping horizon — batches are cut from [cursor,
+// DurableLSN).
+func (tc *TC) DurableLSN() int64 { return tc.log.Flushed() }
 
 // LogDevice returns the device holding the recovery log (the shipper reads
 // batches straight off it).
@@ -36,8 +35,8 @@ func (tc *TC) LogDevice() ssd.Dev { return tc.cfg.LogDevice }
 // so the merged timeline stays monotonic.
 func (tc *TC) Clock() uint64 { return tc.clock.Load() }
 
-// ReadLogBatch reads a record-aligned batch of durable recovery-log bytes
-// for shipping: starting at the record boundary from, it returns complete
+// ReadLogBatch reads a frame-aligned batch of durable recovery-log bytes
+// for shipping: starting at the frame boundary from, it returns whole
 // frames totalling at most maxBytes (but always at least one frame, so a
 // record larger than maxBytes still ships), never reading past durable.
 // The returned end offset is the batch's boundary LSN — the next batch's
@@ -49,92 +48,76 @@ func ReadLogBatch(dev ssd.Dev, from, durable int64, maxBytes int) ([]byte, int64
 	if maxBytes <= 0 {
 		maxBytes = 64 << 10
 	}
-	retry := fault.DefaultRetry()
-	readAt := func(o int64, n int64) ([]byte, error) {
-		var out []byte
-		err := retry.Do(nil, func() error {
-			var rerr error
-			out, rerr = dev.ReadAt(o, int(n), nil)
-			return rerr
-		})
-		return out, err
+	buf, end, err := cutBatch(dev, from, durable, min(durable, from+int64(maxBytes)))
+	if err == nil && end == from {
+		// The first frame alone exceeds maxBytes: ship it whole. No frame
+		// is longer than a segment.
+		buf, end, err = cutBatch(dev, from, durable, min(durable, from+logSegmentBytes))
 	}
-	n := durable - from
-	if n > int64(maxBytes) {
-		n = int64(maxBytes)
-	}
-	if n < 9 {
-		return nil, 0, fmt.Errorf("tc: durable LSN %d is not a record boundary after %d (%w)",
-			durable, from, fault.ErrCorrupt)
-	}
-	buf, err := readAt(from, n)
+	return buf, end, err
+}
+
+// cutBatch reads [from, to) and cuts it at the last whole frame.
+func cutBatch(dev ssd.Dev, from, durable, to int64) ([]byte, int64, error) {
+	var buf []byte
+	err := fault.DefaultRetry().Do(nil, func() error {
+		var rerr error
+		buf, rerr = dev.ReadAt(from, int(to-from), nil)
+		return rerr
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	end := 0
-	for end+9 <= len(buf) {
-		if buf[end] != rlogMagic {
-			return nil, 0, fmt.Errorf("tc: bad log magic at %d (%w)", from+int64(end), fault.ErrCorrupt)
-		}
-		fl := 9 + int(binary.BigEndian.Uint32(buf[end+1:]))
-		if from+int64(end+fl) > durable {
-			return nil, 0, fmt.Errorf("tc: record at %d runs past durable LSN %d (%w)",
-				from+int64(end), durable, fault.ErrCorrupt)
-		}
-		if end+fl > len(buf) {
-			break
-		}
-		end += fl
+	w, err := logstore.WalkBytes(buf, from, durable, logSegmentBytes, nil)
+	if err != nil {
+		return nil, 0, err
 	}
-	if end == 0 {
-		// The first record alone exceeds maxBytes: ship it whole.
-		fl := int64(9 + binary.BigEndian.Uint32(buf[1:]))
-		if buf, err = readAt(from, fl); err != nil {
-			return nil, 0, err
-		}
-		end = int(fl)
+	if w.Reason != logstore.ReplayCleanEnd {
+		return nil, 0, fmt.Errorf("tc: log batch at %d stops at %d (%s) below durable LSN %d (%w)",
+			from, w.End, w.Reason, durable, fault.ErrCorrupt)
 	}
-	return buf[:end], from + int64(end), nil
+	return buf[:w.End-from], w.End, nil
 }
 
-// ApplyLogBytes walks the complete framed commit records in buf (a shipped
-// batch cut by ReadLogBatch) and applies every redo entry to dc with the
-// same blind updates recovery uses. It returns the number of commit
-// records applied, the highest commit timestamp seen, and the bytes
-// consumed; a frame failing verification stops application with an error
-// wrapping fault.ErrCorrupt (nothing of the bad frame is applied).
-func ApplyLogBytes(buf []byte, dc DataComponent) (records int, maxTS uint64, consumed int64, err error) {
-	off := 0
-	for off+9 <= len(buf) {
-		if buf[off] != rlogMagic {
-			return records, maxTS, int64(off), fmt.Errorf("tc: bad batch magic at %d (%w)", off, fault.ErrCorrupt)
+// ApplyLogBytes walks the frames in buf, a shipped batch cut by
+// ReadLogBatch that starts at log offset base, and applies every redo
+// entry to dc with the same blind updates recovery uses. It returns the
+// number of commit records applied and the highest commit timestamp seen.
+// A frame failing verification stops application with an error wrapping
+// fault.ErrCorrupt (nothing of the bad frame is applied).
+func ApplyLogBytes(buf []byte, base int64, dc DataComponent) (records int, maxTS uint64, err error) {
+	end := base + int64(len(buf))
+	w, err := logstore.WalkBytes(buf, base, end, logSegmentBytes, commits(func(rec commitRecord) error {
+		if err := redo(dc, rec.entries); err != nil {
+			return err
 		}
-		blen := int(binary.BigEndian.Uint32(buf[off+1:]))
-		crc := binary.BigEndian.Uint32(buf[off+5:])
-		if off+9+blen > len(buf) {
-			return records, maxTS, int64(off), fmt.Errorf("tc: truncated batch frame at %d (%w)", off, fault.ErrCorrupt)
-		}
-		body := buf[off+9 : off+9+blen]
-		if crc32.ChecksumIEEE(body) != crc {
-			return records, maxTS, int64(off), fmt.Errorf("tc: batch frame CRC mismatch at %d (%w)", off, fault.ErrCorrupt)
-		}
-		rec, derr := decodeCommit(body)
-		if derr != nil {
-			return records, maxTS, int64(off), fmt.Errorf("tc: batch record at %d: %w", off, derr)
-		}
-		if aerr := redo(dc, rec.entries); aerr != nil {
-			return records, maxTS, int64(off), aerr
-		}
-		if rec.commitTS > maxTS {
-			maxTS = rec.commitTS
-		}
+		maxTS = max(maxTS, rec.commitTS)
 		records++
-		off += 9 + blen
+		return nil
+	}))
+	if err == nil && w.End != end {
+		err = fmt.Errorf("tc: batch [%d,%d) stops at %d (%s) (%w)", base, end, w.End, w.Reason, fault.ErrCorrupt)
 	}
-	if off != len(buf) {
-		return records, maxTS, int64(off), fmt.Errorf("tc: batch ends mid-frame at %d (%w)", off, fault.ErrCorrupt)
+	return records, maxTS, err
+}
+
+// commits adapts fn to a walk of the recovery log: pads are skipped, and
+// a commit frame reaches fn decoded. A frame of any other kind, or a body
+// encodeCommit cannot have written, fails with fault.ErrCorrupt.
+func commits(fn func(commitRecord) error) logstore.WalkFunc {
+	return func(rec logstore.Record, off, _ int64) error {
+		switch rec.Kind {
+		case logstore.KindPad:
+			return nil
+		case logstore.KindCommit:
+			c, err := decodeCommit(rec.Payload)
+			if err != nil {
+				return fmt.Errorf("tc: log record at %d: %w", off, err)
+			}
+			return fn(c)
+		}
+		return fmt.Errorf("tc: log record at %d has kind %d (%w)", off, rec.Kind, fault.ErrCorrupt)
 	}
-	return records, maxTS, int64(off), nil
 }
 
 // RecoverOpts bounds point-in-time recovery.
@@ -154,30 +137,31 @@ var errStopReplay = errors.New("tc: replay bound reached")
 
 // RecoverTo replays a recovery log against a data component up to the
 // given bounds — the point-in-time recovery primitive. With zero opts it
-// is exactly Recover. The result's Replay.TruncatedAt reports the LSN the
-// state was reconstructed to.
+// is exactly Recover. Replay is prefix-only: it stops at the first frame
+// that fails verification and never applies a record past it. The
+// result's Replay.TruncatedAt reports the LSN the state was reconstructed
+// to.
 func RecoverTo(logDevice ssd.Dev, dc DataComponent, opts RecoverOpts) (RecoverResult, error) {
 	var res RecoverResult
-	sum, err := replayRange(logDevice, 0, opts.MaxLSN, fault.DefaultRetry(), nil, func(rec commitRecord, _ int64) error {
+	w, err := logstore.WalkDevice(logDevice, logSegmentBytes, 0, opts.MaxLSN, commits(func(rec commitRecord) error {
 		if opts.MaxTS > 0 && rec.commitTS > opts.MaxTS {
 			return errStopReplay
 		}
-		if rec.commitTS > res.MaxTS {
-			res.MaxTS = rec.commitTS
-		}
+		res.MaxTS = max(res.MaxTS, rec.commitTS)
 		if err := redo(dc, rec.entries); err != nil {
 			return err
 		}
 		res.Applied += len(rec.entries)
+		res.Replay.Records++
 		return nil
-	})
+	}))
 	if errors.Is(err, errStopReplay) {
 		err = nil
 	}
-	res.Replay = sum
+	res.Replay.TruncatedAt, res.Replay.Reason = w.End, w.Reason
 	if err == nil {
 		log.Printf("tc: recovery %s, %d redo entr%s applied, max commit ts %d",
-			sum, res.Applied, plural(res.Applied, "y", "ies"), res.MaxTS)
+			res.Replay, res.Applied, plural(res.Applied, "y", "ies"), res.MaxTS)
 	}
 	return res, err
 }

@@ -2,10 +2,11 @@ package tc
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"costperf/internal/fault"
+	"costperf/internal/llama/logstore"
 	"costperf/internal/metrics"
 	"costperf/internal/obs"
 	"costperf/internal/recordcache"
@@ -29,13 +30,16 @@ var (
 	ErrClosed   = errors.New("tc: closed")
 	ErrNoScan   = errors.New("tc: data component does not support scans")
 	// ErrDegraded is returned by commits after a persistent log-device
-	// write failure latched the TC read-only (see Stats.Health).
-	ErrDegraded = errors.New("tc: degraded (read-only)")
+	// write failure latched the TC's log read-only (see TC.Health).
+	ErrDegraded = logstore.ErrDegraded
+	// ErrTooLarge rejects a commit whose record would not fit in one log
+	// segment. Nothing of the transaction is logged or installed.
+	ErrTooLarge = fmt.Errorf("tc: commit record exceeds a log segment (%w)", logstore.ErrTooLarge)
 )
 
-// version is one committed value in the MVCC store. The value slices
-// alias the recovery-log buffers conceptually: retaining them in memory is
-// the paper's "recovery log as record cache".
+// version is one committed value in the MVCC store. val is the heap copy
+// Tx.Write made; the log buffer that framed it is reused after its flush,
+// so the version store, not the log, caches recently updated records.
 type version struct {
 	val      []byte
 	commitTS uint64
@@ -66,14 +70,10 @@ func (kv *keyVersions) visible(ts uint64) (version, bool) {
 // Stats counts TC events.
 type Stats struct {
 	Conflicts        metrics.Counter
-	VersionStoreHits metrics.Counter // reads served by MVCC versions (log-buffer record cache)
+	VersionStoreHits metrics.Counter // reads served by MVCC versions (updated-record cache)
 	ReadCacheHits    metrics.Counter // reads served by the read cache
 	DCReads          metrics.Counter // reads that had to go to the data component
 	VersionsDropped  metrics.Counter // versions reclaimed by commit-time trims and GC
-	// Retry meters the transient-fault retry budget spent on log I/O.
-	Retry metrics.RetryStats
-	// Health latches degraded (read-only) after a persistent log failure.
-	Health metrics.Health
 }
 
 // Config configures a TC.
@@ -81,9 +81,10 @@ type Config struct {
 	// DC is the data component.
 	DC DataComponent
 	// LogDevice holds the recovery log (typically a dedicated device or
-	// region).
+	// region). A device that already holds a log is continued at its tail.
 	LogDevice ssd.Dev
-	// LogBufferBytes sizes the in-memory recovery-log buffer (default 1 MiB).
+	// LogBufferBytes sizes the in-memory recovery-log buffer (default
+	// 1 MiB); it must divide the log's 4 MiB segment.
 	LogBufferBytes int
 	// Session enables execution-cost accounting (may be nil).
 	Session *sim.Session
@@ -95,10 +96,6 @@ type Config struct {
 	// a non-nil return rejects the transaction. Replication installs an
 	// epoch fence here so a demoted primary cannot commit after failover.
 	CommitGate func() error
-	// LogStartLSN positions the recovery log's first append at this device
-	// offset instead of 0. A promoted standby continues its shipped log in
-	// place, keeping the whole LSN history PITR-addressable.
-	LogStartLSN int64
 	// InitialClock seeds the commit-timestamp clock (a promoted standby
 	// passes the highest timestamp it applied, keeping timestamps
 	// monotonic across failover).
@@ -119,7 +116,7 @@ type TC struct {
 	mvcc   map[string]*keyVersions
 	active map[uint64]uint64 // txID -> beginTS
 	nextTx uint64
-	log    *rlog
+	log    *logstore.Store
 	rcache *recordcache.Ring
 	stats  Stats
 }
@@ -136,28 +133,37 @@ func New(cfg Config) (*TC, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Opening the store scans the device for its tail: a promoted standby
+	// or a cutover target continues its shipped log in place.
+	store, err := logstore.Open(logstore.Config{
+		Device: cfg.LogDevice, BufferBytes: cfg.LogBufferBytes, SegmentBytes: logSegmentBytes,
+	})
+	if err != nil {
+		return nil, err
+	}
 	tc := &TC{
 		cfg:    cfg,
 		mvcc:   map[string]*keyVersions{},
 		active: map[uint64]uint64{},
 		nextTx: 1,
+		log:    store,
 		rcache: rc,
 	}
-	tc.log = newRlog(cfg.LogDevice, cfg.LogBufferBytes, fault.DefaultRetry(), &tc.stats.Retry, &tc.stats.Health)
-	tc.log.start = cfg.LogStartLSN
 	tc.clock.Store(cfg.InitialClock)
-	// A self-healing log device (ssd.Mirror) escalates unrecoverable
-	// dual-leg corruption by latching the TC read-only.
-	if ha, ok := cfg.LogDevice.(interface {
-		AttachHealth(*metrics.Health)
-	}); ok {
-		ha.AttachHealth(&tc.stats.Health)
-	}
 	return tc, nil
 }
 
+// logSegmentBytes is the recovery log's segment size; replay and shipping
+// need it to find the frame after a segment-tail fill.
+const logSegmentBytes = logstore.DefaultSegmentBytes
+
 // Stats returns the TC's counters.
 func (tc *TC) Stats() *Stats { return &tc.stats }
+
+// Health is the recovery log's latch: degraded (read-only) after a
+// persistent log-device write failure, or when a self-healing log device
+// (ssd.Mirror) meets unrecoverable corruption.
+func (tc *TC) Health() *metrics.Health { return &tc.log.Stats().Health }
 
 // Tx is a transaction handle (snapshot isolation, first-committer-wins).
 // A Tx is used by one goroutine.
@@ -185,7 +191,7 @@ func (tc *TC) Begin() (*Tx, error) {
 
 // Read returns the value of key visible at the transaction's snapshot.
 // The lookup path is the Figure 6 cascade: own writes, MVCC version store
-// (recovery-log record cache), read cache, then the data component.
+// (updated-record cache), read cache, then the data component.
 func (t *Tx) Read(key []byte) (_ []byte, _ bool, err error) {
 	if t.done {
 		return nil, false, ErrTxDone
@@ -345,7 +351,10 @@ func (t *Tx) Commit() (err error) {
 		}
 		tc.mvcc[string(w.key)] = &keyVersions{vs: []version{{val: pv, isDelete: !pok}}}
 	}
-	if err := tc.log.append(rec); err != nil {
+	if _, err := tc.log.Append(0, logstore.KindCommit, encodeCommit(rec), nil); err != nil {
+		if errors.Is(err, logstore.ErrTooLarge) {
+			return fmt.Errorf("%w: %d writes", ErrTooLarge, len(rec.entries))
+		}
 		return err
 	}
 	for _, w := range rec.entries {
@@ -376,7 +385,7 @@ func (t *Tx) Abort() {
 }
 
 // Flush forces the recovery log to the device (group commit).
-func (tc *TC) Flush() error { return tc.log.flush() }
+func (tc *TC) Flush() error { return tc.log.Flush(nil) }
 
 // oldestLocked returns the oldest snapshot a live transaction reads at: the
 // minimum of the active begin timestamps and the clock.
@@ -437,7 +446,7 @@ func (tc *TC) Close() error {
 	if tc.closed.Swap(true) {
 		return nil
 	}
-	return tc.log.flush()
+	return tc.log.Close()
 }
 
 // RecoverResult reports what log replay reconstructed.

@@ -367,9 +367,12 @@ func TestTornLogTailIgnored(t *testing.T) {
 	tx.Write([]byte("good"), []byte("1"))
 	tx.Commit()
 	c.Close()
-	// Append garbage that looks like a frame header claiming more bytes.
+	// Append garbage that looks like a frame header claiming more bytes:
+	// logstore's magic, a commit kind, pid 0, a 256-byte payload, no CRC.
 	tail := logDev.HighWater()
-	logDev.WriteAt(tail, []byte{rlogMagic, 0, 0, 1, 0, 0, 0, 0, 0}, nil)
+	hdr := make([]byte, 18)
+	hdr[0], hdr[1], hdr[12] = 0xD7, byte(logstore.KindCommit), 1
+	logDev.WriteAt(tail, hdr, nil)
 
 	dc2 := newMemDC()
 	if res, err := Recover(logDev, dc2); err != nil || res.Applied != 1 {
@@ -660,14 +663,14 @@ func TestCorruptLogRecordFailsRecovery(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Flip a byte inside the committed record's body (past the 9-byte
+	// Flip a byte inside the committed record's body (past the 18-byte
 	// frame header): the checksum must catch it and recovery must stop
 	// cleanly rather than apply garbage.
-	raw, err := logDev.ReadAt(0, 12, nil)
+	raw, err := logDev.ReadAt(0, 21, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[10] ^= 0xFF
+	raw[19] ^= 0xFF
 	if err := logDev.WriteAt(0, raw, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -679,7 +682,7 @@ func TestCorruptLogRecordFailsRecovery(t *testing.T) {
 	if res.Applied != 0 || res.MaxTS != 0 {
 		t.Fatalf("corrupt record applied: n=%d ts=%d", res.Applied, res.MaxTS)
 	}
-	if res.Replay.Reason != ReplayBadCRC || res.Replay.TruncatedAt != 0 {
+	if res.Replay.Reason != logstore.ReplayBadCRC || res.Replay.TruncatedAt != 0 {
 		t.Fatalf("replay summary = %v, want bad-crc at 0", res.Replay)
 	}
 }
@@ -866,5 +869,40 @@ func TestFailedCaptureAbortsCommit(t *testing.T) {
 	}
 	if string(dc.m["k"]) != "old" {
 		t.Fatalf("DC holds %q, want old", dc.m["k"])
+	}
+}
+
+// A commit record larger than a log segment fails with ErrTooLarge before
+// anything is logged or installed; the log stays healthy and the next
+// commit succeeds.
+func TestCommitLargerThanSegmentFailsCleanly(t *testing.T) {
+	logDev := ssd.New(ssd.SamsungSSD)
+	dc := newMemDC()
+	c, err := New(Config{DC: dc, LogDevice: logDev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, _ := c.Begin()
+	big.Write([]byte("huge"), make([]byte, logSegmentBytes))
+	if err := big.Commit(); !errors.Is(err, ErrTooLarge) || !errors.Is(err, logstore.ErrTooLarge) {
+		t.Fatalf("oversized commit = %v, want ErrTooLarge", err)
+	}
+	if c.Health().Degraded() {
+		t.Fatalf("oversized commit degraded the log: %s", c.Health())
+	}
+	r, _ := c.Begin()
+	if _, ok, _ := r.Read([]byte("huge")); ok || c.VersionCount() != 0 || dc.writes != 0 {
+		t.Fatalf("oversized commit installed state: visible=%v versions=%d dc writes=%d", ok, c.VersionCount(), dc.writes)
+	}
+	next, _ := c.Begin()
+	next.Write([]byte("small"), []byte("v"))
+	if err := next.Commit(); err != nil {
+		t.Fatalf("commit after oversized one: %v", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := Recover(logDev, newMemDC()); err != nil || res.Replay.Records != 1 || res.Applied != 1 {
+		t.Fatalf("recovery = %+v, %v; want exactly the small commit", res, err)
 	}
 }

@@ -77,6 +77,10 @@ go test $SHORT ./...
 go test -run '^$' -bench 'Scan|Compaction' -benchtime 1x ./internal/lsm
 go test -run '^$' -bench 'Commit|Read' -benchtime 1x ./internal/tc
 go test -run '^$' -bench 'RoundTrip' -benchtime 1x ./internal/wire
+# A bounded fuzz run of the recovery log's two decoders: the commit-record
+# codec and logstore's one frame decoder and walker.
+go test -run '^$' -fuzz '^FuzzDecodeCommit$' -fuzztime 10s ./internal/tc
+go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s ./internal/llama/logstore
 go test $SHORT -race ./...
 # The soak gates, one row each: gate variable, race detector (on/off),
 # timeout, -run regex, comma-separated packages, full-sweep flag (- for
