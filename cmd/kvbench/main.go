@@ -645,7 +645,7 @@ func driveEngine(eng *engine.Engine, ops []workload.Op, workers int) *engineRunS
 				case workload.OpDelete:
 					err = eng.Delete(bg, op.Key)
 				}
-				rs.latency.Observe(float64(time.Since(t0).Microseconds()))
+				rs.latency.Observe(time.Since(t0).Microseconds())
 				switch {
 				case err == nil:
 					rs.completed.Inc()

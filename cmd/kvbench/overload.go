@@ -359,7 +359,7 @@ func driveClassed(eng *engine.Engine, ops []taggedOp, workers int) *engineRunSta
 				case workload.OpDelete:
 					err = eng.Delete(ctx, to.op.Key)
 				}
-				rs.latency.Observe(float64(time.Since(t0).Microseconds()))
+				rs.latency.Observe(time.Since(t0).Microseconds())
 				switch {
 				case err == nil:
 					rs.completed.Inc()

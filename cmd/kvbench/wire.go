@@ -223,7 +223,7 @@ func runWireLoad(cfg wireModeConfig) {
 					case workload.OpDelete:
 						err = cl.Delete(bg, op.Key)
 					}
-					latency.Observe(float64(time.Since(t0).Microseconds()))
+					latency.Observe(time.Since(t0).Microseconds())
 					switch {
 					case err == nil:
 						completed.Inc()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -103,15 +104,15 @@ func MeasureLatency(keys, ops int) (*LatencyResult, error) {
 			mmSum += lat
 			mmN++
 		}
-		hist.Observe(lat * 1e6) // µs
+		hist.Observe(int64(math.Round(lat * 1e9))) // ns
 	}
 	f := tk.MissFraction()
 	model := core.LatencyModel{Costs: costs, DeviceLatency: devLatency}
 	res := &LatencyResult{
 		MissFraction: f,
-		P50US:        hist.Quantile(0.50),
-		P95US:        hist.Quantile(0.95),
-		P99US:        hist.Quantile(0.99),
+		P50US:        hist.Quantile(0.50) / 1e3,
+		P95US:        hist.Quantile(0.95) / 1e3,
+		P99US:        hist.Quantile(0.99) / 1e3,
 		ModelP50US:   model.TailLatency(f, 0.50) * 1e6,
 		ModelP99US:   model.TailLatency(f, 0.99) * 1e6,
 	}

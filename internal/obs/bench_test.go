@@ -54,8 +54,8 @@ func newEngineForBench(b *testing.B, tr *obs.Tracer) *engine.Engine {
 }
 
 // BenchmarkEngineGet measures the front-end read path with tracing off
-// (nil tracer) and on (engine + store spans, histograms, sliding window),
-// so the observability overhead is visible in benchmark diffs.
+// (nil tracer) and on (engine and store spans, each tracer's latency
+// histogram), so the observability overhead is visible in benchmark diffs.
 func BenchmarkEngineGet(b *testing.B) {
 	ctx := context.Background()
 	key := []byte("key-000512")

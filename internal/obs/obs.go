@@ -1,8 +1,8 @@
 // Package obs is the repo's observability layer: lock-cheap per-operation
-// tracing spans, atomic sliding-window histograms, and a registry that folds
-// per-store telemetry into CostSnapshots the internal/core cost model can
-// consume directly. The point (following the paper's Eq. 1-8) is that hit
-// rates, R, ROPS, and IOPS are *measured* here, not assumed: a live
+// tracing spans, one lock-free latency histogram per store, and a registry
+// that folds per-store telemetry into CostSnapshots the internal/core cost
+// model can consume directly. The point (following the paper's Eq. 1-8) is
+// that hit rates, R, ROPS, and IOPS are *measured* here, not assumed: a live
 // five-minute-rule breakeven is recomputed from what the stores actually did.
 //
 // The disabled path is free: a nil *Tracer hands out zero-value Spans whose
@@ -93,9 +93,12 @@ type Tracer struct {
 
 	ops [opCount]opMeter
 
-	lat     Histogram // all ended spans, nanoseconds
-	hitLat  Histogram // spans that stayed in memory
-	missLat Histogram // spans that synchronously touched the device
+	lat metrics.Histogram // all ended spans, nanoseconds
+	// Latency sums, in nanoseconds, of the spans counted in opMeter.hits
+	// and .misses: divided by those counts they are the measured MM and
+	// SS operation latencies behind R and ROPS.
+	hitNanos  atomic.Int64
+	missNanos atomic.Int64
 
 	io ioMeter
 
@@ -165,12 +168,16 @@ func (s *Span) End(err error) {
 // EndOutcome finishes the span with an explicit outcome (the engine uses
 // this to tag shed and circuit-rejected operations).
 func (s *Span) EndOutcome(o Outcome) {
-	t := s.tr
-	if t == nil {
+	if s.tr == nil {
 		return
 	}
+	s.end(o, time.Since(s.t0).Nanoseconds())
+}
+
+// end records the span's outcome and its latency, lat nanoseconds.
+func (s *Span) end(o Outcome, lat int64) {
+	t := s.tr
 	s.tr = nil // guard against double End
-	lat := time.Since(s.t0).Nanoseconds()
 
 	m := &t.ops[s.op]
 	m.count.Add(1)
@@ -186,16 +193,16 @@ func (s *Span) EndOutcome(o Outcome) {
 	}
 
 	t.lat.Observe(lat)
-	// Hit/miss (and the split latency histograms feeding measured R and
-	// ROPS) only count operations that ran to completion: shed or
-	// timed-out ops never learned whether they would have hit.
+	// Hit/miss (and the split latency sums feeding measured R and ROPS)
+	// only count operations that ran to completion: shed or timed-out ops
+	// never learned whether they would have hit.
 	if o == OutcomeOK || o == OutcomeError {
 		if s.miss {
 			m.misses.Add(1)
-			t.missLat.Observe(lat)
+			t.missNanos.Add(lat)
 		} else {
 			m.hits.Add(1)
-			t.hitLat.Observe(lat)
+			t.hitNanos.Add(lat)
 		}
 	}
 }
@@ -217,9 +224,9 @@ func (t *Tracer) Reset() {
 		m.hits.Store(0)
 		m.misses.Store(0)
 	}
-	t.lat.reset()
-	t.hitLat.reset()
-	t.missLat.reset()
+	t.lat.Reset()
+	t.hitNanos.Store(0)
+	t.missNanos.Store(0)
 	t.io.reads.Store(0)
 	t.io.writes.Store(0)
 	t.io.failed.Store(0)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
 	"costperf/internal/core"
@@ -14,108 +13,6 @@ import (
 	"costperf/internal/obs"
 	"costperf/internal/ssd"
 )
-
-// --- Histogram properties -------------------------------------------------
-
-// TestHistogramQuantileMonotone drives seeded random sample sets and checks
-// the quantile invariants the cost tables rely on: p50 <= p95 <= p99,
-// quantiles bracket the sample range (within bucket resolution), and the
-// exact mean matches the tracked sum.
-func TestHistogramQuantileMonotone(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var h obs.Histogram
-		n := 1 + rng.Intn(5000)
-		var sum, max int64
-		min := int64(math.MaxInt64)
-		for i := 0; i < n; i++ {
-			// Mix of magnitudes: sub-microsecond to tens of milliseconds.
-			v := rng.Int63n(1 << uint(10+rng.Intn(25)))
-			h.Observe(v)
-			sum += v
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-		if h.Count() != int64(n) {
-			t.Fatalf("seed %d: count = %d, want %d", seed, h.Count(), n)
-		}
-		if h.Sum() != sum {
-			t.Fatalf("seed %d: sum = %d, want %d", seed, h.Sum(), sum)
-		}
-		if got := h.Mean(); math.Abs(got-float64(sum)/float64(n)) > 1e-9 {
-			t.Fatalf("seed %d: mean = %v, want %v", seed, got, float64(sum)/float64(n))
-		}
-		p50, p95, p99 := h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
-		if p50 > p95 || p95 > p99 {
-			t.Fatalf("seed %d: quantiles not monotone: p50=%d p95=%d p99=%d", seed, p50, p95, p99)
-		}
-		// Log-bucket resolution: a quantile may be off by at most 2x in
-		// either direction from the true sample range.
-		if p99 > 2*max || (min > 0 && p50 < min/2) {
-			t.Fatalf("seed %d: quantiles outside range: p50=%d p99=%d min=%d max=%d", seed, p50, p99, min, max)
-		}
-		// Monotone in q across a fine sweep.
-		prev := int64(0)
-		for q := 0.01; q <= 1.0; q += 0.01 {
-			v := h.Quantile(q)
-			if v < prev {
-				t.Fatalf("seed %d: Quantile(%v)=%d < Quantile(prev)=%d", seed, q, v, prev)
-			}
-			prev = v
-		}
-	}
-}
-
-// TestHistogramConcurrentMergeConservesCounts runs concurrent observers and
-// concurrent merges and checks that no sample is lost or duplicated: the
-// destination ends up with exactly the union of all sources.
-func TestHistogramConcurrentMergeConservesCounts(t *testing.T) {
-	const (
-		sources = 8
-		samples = 4000
-	)
-	srcs := make([]*obs.Histogram, sources)
-	for i := range srcs {
-		srcs[i] = &obs.Histogram{}
-	}
-	var dst obs.Histogram
-	var wg sync.WaitGroup
-	for i := range srcs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(i)))
-			for j := 0; j < samples; j++ {
-				srcs[i].Observe(rng.Int63n(1 << 30))
-			}
-		}(i)
-	}
-	wg.Wait()
-	// Merge all sources concurrently into one destination.
-	for i := range srcs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			dst.Merge(srcs[i])
-		}(i)
-	}
-	wg.Wait()
-	var wantCount, wantSum int64
-	for _, s := range srcs {
-		wantCount += s.Count()
-		wantSum += s.Sum()
-	}
-	if dst.Count() != wantCount || dst.Sum() != wantSum {
-		t.Fatalf("merged count/sum = %d/%d, want %d/%d", dst.Count(), dst.Sum(), wantCount, wantSum)
-	}
-	if wantCount != sources*samples {
-		t.Fatalf("source count = %d, want %d", wantCount, sources*samples)
-	}
-}
 
 // --- Span accounting vs device totals -------------------------------------
 

@@ -90,7 +90,7 @@ type CostSnapshot struct {
 	Misses int64
 	F      float64
 
-	// Latency over all ended spans (nanoseconds in the histograms,
+	// Latency over all ended spans (nanoseconds in the histogram,
 	// durations here).
 	P50, P95, P99 time.Duration
 	Mean          time.Duration
@@ -191,8 +191,8 @@ func (t *Tracer) Snapshot() CostSnapshot {
 	ls := t.lat.Snapshot()
 	s.P50, s.P95, s.P99 = time.Duration(ls.P50), time.Duration(ls.P95), time.Duration(ls.P99)
 	s.Mean = time.Duration(ls.Mean)
-	s.MeanHit = time.Duration(t.hitLat.Mean())
-	s.MeanMiss = time.Duration(t.missLat.Mean())
+	s.MeanHit = meanNanos(t.hitNanos.Load(), s.Hits)
+	s.MeanMiss = meanNanos(t.missNanos.Load(), s.Misses)
 
 	if s.MeanHit > 0 {
 		s.ROPS = 1e9 / float64(s.MeanHit.Nanoseconds())
@@ -275,6 +275,15 @@ func (t *Tracer) Snapshot() CostSnapshot {
 		s.Utilization = busy.Seconds() / sec
 	}
 	return s
+}
+
+// meanNanos is the mean latency of n spans whose latencies sum to sum
+// nanoseconds, or 0 with none.
+func meanNanos(sum, n int64) time.Duration {
+	if n == 0 {
+		return 0
+	}
+	return time.Duration(float64(sum) / float64(n))
 }
 
 // LiveCosts substitutes the snapshot's measured ROPS and R into base,

@@ -300,7 +300,7 @@ func (l *Limiter) Acquire(ctx context.Context, c Class) (*Ticket, error) {
 // enqueued; its wait is sampled into Stats.WaitMicros.
 func (l *Limiter) queuedTicket(c Class, w *waiter, enqueued time.Time) *Ticket {
 	wait := w.granted.Sub(enqueued)
-	l.stats.WaitMicros.Observe(float64(wait.Microseconds()))
+	l.stats.WaitMicros.Observe(wait.Microseconds())
 	return &Ticket{class: c, queued: true, wait: wait, granted: w.granted}
 }
 

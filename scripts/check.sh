@@ -73,14 +73,19 @@ test -z "$(gofmt -l $(git ls-files '*.go') | tee /dev/stderr)"
 go build ./...
 go test $SHORT ./...
 # One iteration of the LSM scan and compaction benchmarks, the TC commit
-# and read benchmarks and the wire round-trip benchmark, so they cannot rot.
+# and read benchmarks, the wire round-trip benchmark and the traced engine
+# read, so they cannot rot.
 go test -run '^$' -bench 'Scan|Compaction' -benchtime 1x ./internal/lsm
 go test -run '^$' -bench 'Commit|Read' -benchtime 1x ./internal/tc
 go test -run '^$' -bench 'RoundTrip' -benchtime 1x ./internal/wire
-# A bounded fuzz run of the recovery log's two decoders: the commit-record
-# codec and logstore's one frame decoder and walker.
+go test -run '^$' -bench EngineGet -benchtime 1x ./internal/obs
+# A bounded fuzz run of the recovery log's two decoders (the commit-record
+# codec and logstore's one frame decoder and walker) and of the repl ship
+# link's frame and ack decoders.
 go test -run '^$' -fuzz '^FuzzDecodeCommit$' -fuzztime 10s ./internal/tc
 go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s ./internal/llama/logstore
+go test -run '^$' -fuzz '^FuzzDecodeShipFrame$' -fuzztime 10s ./internal/repl
+go test -run '^$' -fuzz '^FuzzDecodeAck$' -fuzztime 10s ./internal/repl
 go test $SHORT -race ./...
 # The soak gates, one row each: gate variable, race detector (on/off),
 # timeout, -run regex, comma-separated packages, full-sweep flag (- for
