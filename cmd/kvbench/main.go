@@ -61,9 +61,9 @@ import (
 	"costperf/internal/btree"
 	"costperf/internal/bwtree"
 	"costperf/internal/core"
+	"costperf/internal/deuteronomy"
 	"costperf/internal/engine"
 	"costperf/internal/fault"
-	"costperf/internal/llama/logstore"
 	"costperf/internal/lsm"
 	"costperf/internal/masstree"
 	"costperf/internal/metrics"
@@ -262,11 +262,9 @@ func main() {
 	var faultReport func()
 	switch *storeName {
 	case "bwtree":
-		st, err := logstore.Open(logstore.Config{Device: dev, BufferBytes: 1 << 20, SegmentBytes: 4 << 20,
-			Obs: regTracer(reg, "log")})
+		stack, err := deuteronomy.Open(deuteronomy.Config{Device: dev, Session: sess, Obs: tr, LogObs: regTracer(reg, "log")})
 		check(err)
-		tree, err := bwtree.New(bwtree.Config{Store: st, Session: sess, Obs: tr})
-		check(err)
+		tree, st := stack.Tree, stack.Log
 		tr.FoldRetries(&tree.Stats().Retry)
 		tr.FoldHealth(&tree.Stats().Health)
 		bw = tree
@@ -582,14 +580,12 @@ func runEngineMode(cfg engineModeConfig) {
 func buildEngineStore(name string, pool int, dev ssd.Dev, reg *obs.Registry, tr *obs.Tracer) engine.Store {
 	switch name {
 	case "bwtree":
-		st, err := logstore.Open(logstore.Config{Device: dev, BufferBytes: 1 << 20, SegmentBytes: 4 << 20,
-			Obs: regTracer(reg, "log")})
+		// No Session: engine, wire and matrix stores run uncharged.
+		stack, err := deuteronomy.Open(deuteronomy.Config{Device: dev, Obs: tr, LogObs: regTracer(reg, "log")})
 		check(err)
-		tree, err := bwtree.New(bwtree.Config{Store: st, Obs: tr})
-		check(err)
-		tr.FoldRetries(&tree.Stats().Retry)
-		tr.FoldHealth(&tree.Stats().Health)
-		return engine.WrapBwTree(tree)
+		tr.FoldRetries(&stack.Stats().Retry)
+		tr.FoldHealth(&stack.Stats().Health)
+		return engine.WrapBwTree(stack.Tree)
 	case "masstree":
 		mt := masstree.New(nil)
 		mt.SetObs(tr)

@@ -3,6 +3,7 @@ package costperf
 import (
 	"costperf/internal/bwtree"
 	"costperf/internal/core"
+	"costperf/internal/deuteronomy"
 	"costperf/internal/llama"
 	"costperf/internal/llama/logstore"
 	"costperf/internal/lsm"
@@ -119,184 +120,28 @@ const (
 // NewMassTree creates a MassTree; session may be nil.
 func NewMassTree(session *Session) *MassTree { return masstree.New(session) }
 
-// DeuteronomyOptions configures NewDeuteronomy. The zero value gives a
-// paper-like setup: a Samsung-class simulated SSD, 1 MiB write buffers,
-// 4 MiB GC segments, 4 KiB max pages, and the breakeven eviction policy
-// at the paper's T_i.
-type DeuteronomyOptions struct {
-	// Device overrides the simulated device (default SamsungSSD).
-	Device *Device
-	// Session enables cost accounting (default: a fresh session).
-	Session *Session
-	// MaxPageBytes is the Bw-tree split threshold (default 4096).
-	MaxPageBytes int
-	// ConsolidateAfter is the delta-chain consolidation threshold
-	// (default 8).
-	ConsolidateAfter int
-	// WriteBufferBytes sizes the log store's flush buffer (default 1 MiB).
-	WriteBufferBytes int
-	// SegmentBytes is the log store's GC granularity (default 4 MiB).
-	SegmentBytes int64
-	// Policy selects the eviction policy (default PolicyBreakeven).
-	Policy llama.Policy
-	// BreakevenSeconds is T_i for PolicyBreakeven (default: the paper's
-	// ≈45 s from PaperCosts).
-	BreakevenSeconds float64
-	// MemoryBudgetBytes caps the cache footprint (0 = unlimited).
-	MemoryBudgetBytes int64
-	// RetainDeltas keeps delta chains as a record cache on eviction
-	// (Section 6.3). Default true.
-	RetainDeltas *bool
-}
+// DeuteronomyOptions configures NewDeuteronomy; the zero value is the
+// paper's setup. Unlike in the stack's own config, a nil Session means a
+// fresh one.
+type DeuteronomyOptions = deuteronomy.Config
 
 // Deuteronomy bundles the full data-caching stack: Bw-tree over LLAMA
 // (cache manager + log-structured store) on a simulated SSD.
-type Deuteronomy struct {
-	Tree    *BwTree
-	Log     *LogStore
-	Device  *Device
-	Cache   *CacheManager
-	Session *Session
-}
+type Deuteronomy = deuteronomy.Stack
 
-// NewDeuteronomy assembles the data-caching stack.
+// NewDeuteronomy assembles the data-caching stack on opts.Device,
+// recovering it if the device holds a checkpoint.
 func NewDeuteronomy(opts DeuteronomyOptions) (*Deuteronomy, error) {
-	if opts.Device == nil {
-		opts.Device = ssd.New(ssd.SamsungSSD)
-	}
 	if opts.Session == nil {
 		opts.Session = sim.NewSession(sim.DefaultCosts())
 	}
-	if opts.WriteBufferBytes == 0 {
-		opts.WriteBufferBytes = 1 << 20
-	}
-	if opts.SegmentBytes == 0 {
-		opts.SegmentBytes = 4 << 20
-	}
-	// PolicyNone is the zero value, so it doubles as "default": the stack
-	// always gets the breakeven policy (a caller that wants no eviction
-	// simply never calls Sweep).
-	if opts.Policy == llama.PolicyNone {
-		opts.Policy = llama.PolicyBreakeven
-	}
-	if opts.BreakevenSeconds == 0 {
-		opts.BreakevenSeconds = core.PaperCosts().BreakevenInterval()
-	}
-	retain := true
-	if opts.RetainDeltas != nil {
-		retain = *opts.RetainDeltas
-	}
-	st, err := logstore.Open(logstore.Config{
-		Device:       opts.Device,
-		BufferBytes:  opts.WriteBufferBytes,
-		SegmentBytes: opts.SegmentBytes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	tree, err := bwtree.New(bwtree.Config{
-		Store:            st,
-		Session:          opts.Session,
-		MaxPageBytes:     opts.MaxPageBytes,
-		ConsolidateAfter: opts.ConsolidateAfter,
-	})
-	if err != nil {
-		return nil, err
-	}
-	mgrCfg := llama.Config{
-		Owner:            tree,
-		Clock:            opts.Session.Clock(),
-		Policy:           opts.Policy,
-		BreakevenSeconds: opts.BreakevenSeconds,
-		BudgetBytes:      opts.MemoryBudgetBytes,
-		RetainDeltas:     retain,
-	}
-	if opts.MemoryBudgetBytes > 0 {
-		mgrCfg.FootprintFn = tree.FootprintBytes
-	}
-	mgr, err := llama.NewManager(mgrCfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Deuteronomy{Tree: tree, Log: st, Device: opts.Device, Cache: mgr, Session: opts.Session}, nil
-}
-
-// Put upserts a key (a latch-free delta update).
-func (d *Deuteronomy) Put(key, val []byte) error { return d.Tree.Insert(key, val) }
-
-// Get looks up a key.
-func (d *Deuteronomy) Get(key []byte) ([]byte, bool, error) { return d.Tree.Get(key) }
-
-// Delete removes a key.
-func (d *Deuteronomy) Delete(key []byte) error { return d.Tree.Delete(key) }
-
-// BlindPut upserts without requiring the target page in memory
-// (Section 6.2).
-func (d *Deuteronomy) BlindPut(key, val []byte) error { return d.Tree.BlindWrite(key, val) }
-
-// Scan visits keys in order from start.
-func (d *Deuteronomy) Scan(start []byte, limit int, fn func(k, v []byte) bool) error {
-	return d.Tree.Scan(start, limit, fn)
-}
-
-// Sweep runs one eviction pass under the configured policy.
-func (d *Deuteronomy) Sweep() (int, error) { return d.Cache.Sweep() }
-
-// Checkpoint makes the tree durable; OpenDeuteronomy can rebuild from the
-// device afterwards.
-func (d *Deuteronomy) Checkpoint() error { return d.Tree.FlushAll() }
-
-// CollectGarbage runs one log-store GC pass.
-func (d *Deuteronomy) CollectGarbage() (int64, error) {
-	return d.Log.CollectSegment(d.Tree.RelocateForGC, nil)
+	return deuteronomy.Open(opts)
 }
 
 // OpenDeuteronomy recovers a checkpointed stack from an existing device.
-func OpenDeuteronomy(device *Device, opts DeuteronomyOptions) (*Deuteronomy, error) {
+func OpenDeuteronomy(device ssd.Dev, opts DeuteronomyOptions) (*Deuteronomy, error) {
 	opts.Device = device
-	if opts.Session == nil {
-		opts.Session = sim.NewSession(sim.DefaultCosts())
-	}
-	if opts.WriteBufferBytes == 0 {
-		opts.WriteBufferBytes = 1 << 20
-	}
-	if opts.SegmentBytes == 0 {
-		opts.SegmentBytes = 4 << 20
-	}
-	st, err := logstore.Open(logstore.Config{
-		Device:       device,
-		BufferBytes:  opts.WriteBufferBytes,
-		SegmentBytes: opts.SegmentBytes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	tree, err := bwtree.Open(bwtree.Config{
-		Store:            st,
-		Session:          opts.Session,
-		MaxPageBytes:     opts.MaxPageBytes,
-		ConsolidateAfter: opts.ConsolidateAfter,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if opts.BreakevenSeconds == 0 {
-		opts.BreakevenSeconds = core.PaperCosts().BreakevenInterval()
-	}
-	if opts.Policy == llama.PolicyNone {
-		opts.Policy = llama.PolicyBreakeven
-	}
-	mgr, err := llama.NewManager(llama.Config{
-		Owner:            tree,
-		Clock:            opts.Session.Clock(),
-		Policy:           opts.Policy,
-		BreakevenSeconds: opts.BreakevenSeconds,
-		RetainDeltas:     true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Deuteronomy{Tree: tree, Log: st, Device: device, Cache: mgr, Session: opts.Session}, nil
+	return NewDeuteronomy(opts)
 }
 
 // NewLSM creates an LSM tree on a fresh Samsung-class device (or the one

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 
 	"costperf/internal/fault"
@@ -63,6 +65,11 @@ const (
 // metadata record.
 var ErrNoCheckpoint = errors.New("bwtree: no checkpoint in log")
 
+// corrupt reports a refused page image as fault.ErrCorrupt's class.
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("bwtree: %s: %w", fmt.Sprintf(format, args...), fault.ErrCorrupt)
+}
+
 func putUvarint(buf *bytes.Buffer, v uint64) {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], v)
@@ -85,11 +92,47 @@ func (r *reader) uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 {
-		r.err = errors.New("bwtree: truncated payload")
+		r.err = corrupt("truncated payload")
+		return 0
+	}
+	// Only putUvarint's minimal encoding re-encodes byte-identical.
+	if n != (bits.Len64(v|1)+6)/7 {
+		r.err = corrupt("non-minimal varint")
 		return 0
 	}
 	r.b = r.b[n:]
 	return v
+}
+
+// upTo reads a value of at most limit. An entry count bounded by the bytes
+// left (an entry takes at least one) bounds the slices sized from it.
+func (r *reader) upTo(limit uint64) uint64 {
+	v := r.uvarint()
+	if r.err == nil && v > limit {
+		r.err = corrupt("value %d exceeds %d", v, limit)
+		return 0
+	}
+	return v
+}
+
+// count reads an entry count; flag reads a 0/1 presence byte.
+func (r *reader) count() uint64 { return r.upTo(uint64(len(r.b))) }
+func (r *reader) flag() bool    { return r.upTo(1) == 1 }
+
+// done reports the reader's error, refusing trailing bytes.
+func (r *reader) done() error {
+	if r.err == nil && len(r.b) > 0 {
+		r.err = corrupt("%d trailing payload bytes", len(r.b))
+	}
+	return r.err
+}
+
+// payload starts a reader after p's subtype byte, which must be want.
+func payload(p []byte, want byte) *reader {
+	if len(p) == 0 || p[0] != want {
+		return &reader{err: corrupt("not a subtype %d payload", want)}
+	}
+	return &reader{b: p[1:]}
 }
 
 func (r *reader) bytes() []byte {
@@ -98,7 +141,7 @@ func (r *reader) bytes() []byte {
 		return nil
 	}
 	if uint64(len(r.b)) < n {
-		r.err = errors.New("bwtree: truncated payload")
+		r.err = corrupt("truncated payload")
 		return nil
 	}
 	out := make([]byte, n)
@@ -113,8 +156,8 @@ func putAddr(buf *bytes.Buffer, a logstore.Address) {
 }
 
 func (r *reader) addr() logstore.Address {
-	off := r.uvarint()
-	l := r.uvarint()
+	off := r.upTo(math.MaxInt64)
+	l := r.upTo(math.MaxInt32)
 	return logstore.Address{Off: int64(off), Len: int32(l)}
 }
 
@@ -139,27 +182,21 @@ func encodeLeafBase(b *leafBase) []byte {
 }
 
 func decodeLeafBase(p []byte) (*leafBase, error) {
-	r := &reader{b: p[1:]}
+	r := payload(p, payloadLeafBase)
 	b := &leafBase{}
-	if len(p) < 2 {
-		return nil, errors.New("bwtree: short leaf payload")
-	}
-	if p[1] == 1 {
-		r.b = p[2:]
+	if r.flag() {
 		b.highKey = r.bytes()
-	} else {
-		r.b = p[2:]
 	}
 	b.right = mapping.PID(r.uvarint())
-	n := r.uvarint()
+	n := r.count()
 	b.keys = make([][]byte, 0, n)
 	b.vals = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(0); i < n && r.err == nil; i++ {
 		b.keys = append(b.keys, r.bytes())
 		b.vals = append(b.vals, r.bytes())
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.done(); err != nil {
+		return nil, err
 	}
 	return b, nil
 }
@@ -186,32 +223,24 @@ func encodeIndexBase(b *indexBase, level int) []byte {
 }
 
 func decodeIndexBase(p []byte) (*indexBase, int, error) {
-	if len(p) < 3 {
-		return nil, 0, errors.New("bwtree: short index payload")
-	}
-	r := &reader{b: p[1:]}
+	r := payload(p, payloadIndexBase)
 	level := int(r.uvarint())
-	if r.err != nil || len(r.b) == 0 {
-		return nil, 0, errors.New("bwtree: short index payload")
-	}
-	hasHigh := r.b[0] == 1
-	r.b = r.b[1:]
 	b := &indexBase{}
-	if hasHigh {
+	if r.flag() {
 		b.highKey = r.bytes()
 	}
 	b.right = mapping.PID(r.uvarint())
-	n := r.uvarint()
+	n := r.count()
 	b.keys = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(0); i < n && r.err == nil; i++ {
 		b.keys = append(b.keys, r.bytes())
 	}
 	b.children = make([]mapping.PID, 0, n+1)
-	for i := uint64(0); i <= n; i++ {
+	for i := uint64(0); i <= n && r.err == nil; i++ {
 		b.children = append(b.children, mapping.PID(r.uvarint()))
 	}
-	if r.err != nil {
-		return nil, 0, r.err
+	if err := r.done(); err != nil {
+		return nil, 0, err
 	}
 	return b, level, nil
 }
@@ -242,25 +271,23 @@ func encodeDeltaBatch(deltas []flatDelta, prev logstore.Address) []byte {
 }
 
 func decodeDeltaBatch(p []byte) ([]flatDelta, logstore.Address, error) {
-	r := &reader{b: p[1:]}
+	r := payload(p, payloadDeltas)
 	prev := r.addr()
-	n := r.uvarint()
+	n := r.count()
 	out := make([]flatDelta, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if r.err != nil || len(r.b) == 0 {
-			return nil, prev, errors.New("bwtree: truncated delta batch")
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		d := flatDelta{op: byte(r.upTo(deltaOpDelete))}
+		if r.err == nil && d.op != deltaOpInsert && d.op != deltaOpDelete {
+			return nil, prev, corrupt("bad delta op %d", d.op)
 		}
-		op := r.b[0]
-		r.b = r.b[1:]
-		d := flatDelta{op: op}
 		d.key = r.bytes()
-		if op == deltaOpInsert {
+		if d.op == deltaOpInsert {
 			d.val = r.bytes()
 		}
 		out = append(out, d)
 	}
-	if r.err != nil {
-		return nil, prev, r.err
+	if err := r.done(); err != nil {
+		return nil, prev, err
 	}
 	return out, prev, nil
 }
@@ -275,10 +302,10 @@ func (t *Tree) readDurableState(addr logstore.Address, ch *sim.Charger) (node, i
 	cur := addr
 	for hop := 0; ; hop++ {
 		if hop > 1024 {
-			return nil, 0, nil, errors.New("bwtree: durable chain too long")
+			return nil, 0, nil, corrupt("durable chain too long")
 		}
 		if cur.IsNil() {
-			return nil, 0, nil, errors.New("bwtree: durable chain ends without base")
+			return nil, 0, nil, corrupt("durable chain ends without base")
 		}
 		rec, err := t.storeRead(cur, ch)
 		if err != nil {
@@ -286,7 +313,7 @@ func (t *Tree) readDurableState(addr logstore.Address, ch *sim.Charger) (node, i
 		}
 		chain = append(chain, cur)
 		if len(rec.Payload) == 0 {
-			return nil, 0, nil, errors.New("bwtree: empty payload")
+			return nil, 0, nil, corrupt("empty payload")
 		}
 		switch rec.Payload[0] {
 		case payloadDeltas:
@@ -308,11 +335,11 @@ func (t *Tree) readDurableState(addr logstore.Address, ch *sim.Charger) (node, i
 				return nil, 0, nil, err
 			}
 			if len(batches) > 0 {
-				return nil, 0, nil, errors.New("bwtree: delta batches over index page")
+				return nil, 0, nil, corrupt("delta batches over index page")
 			}
 			return idx, level, chain, nil
 		default:
-			return nil, 0, nil, fmt.Errorf("bwtree: unknown payload subtype %d", rec.Payload[0])
+			return nil, 0, nil, corrupt("unknown payload subtype %d", rec.Payload[0])
 		}
 	}
 }

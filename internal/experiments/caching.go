@@ -32,24 +32,24 @@ type RecordCacheResult struct {
 // MeasureRecordCache runs a hot/cold transactional workload over the full
 // Deuteronomy stack with all pages evicted, so every DC read costs an I/O.
 func MeasureRecordCache(keys, txs int) (*RecordCacheResult, error) {
-	s, err := newStack(ssd.UserLevelPath)
+	s, err := newStack(sim.NewSession(sim.DefaultCosts()), nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.load(uint64(keys), 64); err != nil {
+	if err := load(s, uint64(keys), 64); err != nil {
 		return nil, err
 	}
 	logDev := ssd.New(ssd.SamsungSSD)
-	c, err := tc.New(tc.Config{DC: s.tree, LogDevice: logDev, Session: s.sess})
+	c, err := tc.New(tc.Config{DC: s.Tree, LogDevice: logDev, Session: s.Session})
 	if err != nil {
 		return nil, err
 	}
-	if err := s.evictAll(false); err != nil {
+	if err := evictAll(s, false); err != nil {
 		return nil, err
 	}
 	hot := workload.NewHotCold(3, 0.1, 0.9)
 	rng := rand.New(rand.NewSource(3))
-	r0 := s.dev.Stats().Reads.Value()
+	r0 := s.Device.Stats().Reads.Value()
 	for i := 0; i < txs; i++ {
 		tx, err := c.Begin()
 		if err != nil {
@@ -78,7 +78,7 @@ func MeasureRecordCache(keys, txs int) (*RecordCacheResult, error) {
 		VersionStoreHits: st.VersionStoreHits.Value(),
 		ReadCacheHits:    st.ReadCacheHits.Value(),
 		DCReads:          st.DCReads.Value(),
-		DeviceReads:      s.dev.Stats().Reads.Value() - r0,
+		DeviceReads:      s.Device.Stats().Reads.Value() - r0,
 	}
 	if total > 0 {
 		res.TCHitRatio = float64(res.VersionStoreHits+res.ReadCacheHits) / float64(total)
@@ -121,50 +121,53 @@ func MeasureEvictionPolicies(keys int, ops int) (*EvictionAblation, error) {
 	ti := costs.BreakevenInterval()
 	res := &EvictionAblation{}
 	for _, pol := range []llama.Policy{llama.PolicyNone, llama.PolicyLRU, llama.PolicyBreakeven} {
-		s, err := newStack(ssd.UserLevelPath)
+		s, err := newStack(sim.NewSession(sim.DefaultCosts()), nil)
 		if err != nil {
 			return nil, err
 		}
-		if err := s.load(uint64(keys), 64); err != nil {
+		if err := load(s, uint64(keys), 64); err != nil {
 			return nil, err
 		}
+		// A1 builds its own manager over the stack's tree: the policy is
+		// the variable it sweeps, and its LRU budget is ¼ of the loaded
+		// footprint.
 		cfg := llama.Config{
-			Owner:            s.tree,
-			Clock:            s.sess.Clock(),
+			Owner:            s.Tree,
+			Clock:            s.Session.Clock(),
 			Policy:           pol,
 			RetainDeltas:     true,
 			BreakevenSeconds: ti,
 		}
 		if pol == llama.PolicyLRU {
-			cfg.BudgetBytes = s.tree.FootprintBytes() / 4
-			cfg.FootprintFn = s.tree.FootprintBytes
+			cfg.BudgetBytes = s.Tree.FootprintBytes() / 4
+			cfg.FootprintFn = s.Tree.FootprintBytes
 		}
 		mgr, err := llama.NewManager(cfg)
 		if err != nil {
 			return nil, err
 		}
-		dataBytes := float64(s.tree.FootprintBytes()) // all data starts resident
+		dataBytes := float64(s.Tree.FootprintBytes()) // all data starts resident
 		hot := workload.NewHotCold(13, 0.1, 0.95)
-		s.sess.Tracker().Reset()
-		start := s.sess.Clock().Now()
+		s.Session.Tracker().Reset()
+		start := s.Session.Clock().Now()
 		for i := 0; i < ops; i++ {
 			id := hot.Next(uint64(keys))
-			if _, _, err := s.tree.Get(workload.Key(id)); err != nil {
+			if _, _, err := s.Tree.Get(workload.Key(id)); err != nil {
 				return nil, err
 			}
 			// Advance virtual time so the cold 90% of pages age past T_i
 			// between touches while hot pages stay fresh.
-			s.sess.Clock().Advance(ti / float64(ops) * 20)
+			s.Session.Clock().Advance(ti / float64(ops) * 20)
 			if i%200 == 199 {
 				if _, err := mgr.Sweep(); err != nil {
 					return nil, err
 				}
 			}
 		}
-		elapsed := s.sess.Clock().Now() - start
-		tk := s.sess.Tracker()
+		elapsed := s.Session.Clock().Now() - start
+		tk := s.Session.Tracker()
 		f := tk.MissFraction()
-		fp := float64(s.tree.FootprintBytes())
+		fp := float64(s.Tree.FootprintBytes())
 		// Model (paper Equations 4–5 applied to the measured state): DRAM
 		// rent for the resident footprint, flash rent for the durable copy
 		// of all data, and execution cost at the workload's actual rate.
@@ -218,6 +221,7 @@ func MeasureConsolidationThreshold(keys, ops int, thresholds []int) (*Consolidat
 	res := &ConsolidationAblation{}
 	for _, th := range thresholds {
 		sess := sim.NewSession(sim.DefaultCosts())
+		// A main-memory tree with no store: not the data caching stack.
 		tree, err := bwtree.New(bwtree.Config{Session: sess, ConsolidateAfter: th})
 		if err != nil {
 			return nil, err

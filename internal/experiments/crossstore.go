@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"costperf/internal/btree"
-	"costperf/internal/bwtree"
-	"costperf/internal/llama/logstore"
 	"costperf/internal/lsm"
 	"costperf/internal/masstree"
 	"costperf/internal/sim"
@@ -44,11 +42,7 @@ type kvDriver struct {
 }
 
 func bwDriver(sess *sim.Session, dev ssd.Dev) (*kvDriver, error) {
-	st, err := logstore.Open(logstore.Config{Device: dev, BufferBytes: 1 << 18, SegmentBytes: 1 << 20})
-	if err != nil {
-		return nil, err
-	}
-	tr, err := bwtree.New(bwtree.Config{Store: st, Session: sess})
+	tr, err := newStack(sess, dev)
 	if err != nil {
 		return nil, err
 	}

@@ -16,59 +16,46 @@ import (
 
 	"costperf/internal/bwtree"
 	"costperf/internal/core"
-	"costperf/internal/llama/logstore"
+	"costperf/internal/deuteronomy"
 	"costperf/internal/masstree"
 	"costperf/internal/sim"
 	"costperf/internal/ssd"
 	"costperf/internal/workload"
 )
 
-// stack bundles a Bw-tree data-caching stack for experiments.
-type stack struct {
-	sess *sim.Session
-	dev  ssd.Dev
-	st   *logstore.Store
-	tree *bwtree.Tree
+// newStack builds the paper's data caching stack on dev (nil: a fresh
+// Samsung-class SSD) with 256 KiB write buffers and 1 MiB GC segments.
+func newStack(sess *sim.Session, dev ssd.Dev) (*deuteronomy.Stack, error) {
+	return deuteronomy.Open(deuteronomy.Config{Device: dev, Session: sess, WriteBufferBytes: 1 << 18, SegmentBytes: 1 << 20})
 }
 
-func newStack(path ssd.IOPath) (*stack, error) {
-	sess := sim.NewSession(sim.DefaultCosts())
-	cfg := ssd.SamsungSSD
-	cfg.Path = path
-	dev := ssd.New(cfg)
-	st, err := logstore.Open(logstore.Config{Device: dev, BufferBytes: 1 << 18, SegmentBytes: 1 << 20})
-	if err != nil {
-		return nil, err
-	}
-	tree, err := bwtree.New(bwtree.Config{Store: st, Session: sess})
-	if err != nil {
-		return nil, err
-	}
-	return &stack{sess: sess, dev: dev, st: st, tree: tree}, nil
-}
-
-func (s *stack) load(keys uint64, valueSize int) error {
+func load(s *deuteronomy.Stack, keys uint64, valueSize int) error {
 	for i := uint64(0); i < keys; i++ {
-		if err := s.tree.Insert(workload.Key(i), workload.ValueFor(i, valueSize)); err != nil {
+		if err := s.Tree.Insert(workload.Key(i), workload.ValueFor(i, valueSize)); err != nil {
 			return err
 		}
 	}
-	// Settle: flush and consolidate so steady-state pages are measured.
-	for _, pid := range s.tree.Pages() {
-		if err := s.tree.FlushPage(pid); err != nil {
-			return err
-		}
-	}
-	return s.st.Flush(nil)
+	return settle(s)
 }
 
-func (s *stack) evictAll(retainDeltas bool) error {
-	for _, pid := range s.tree.Pages() {
-		if err := s.tree.EvictPage(pid, retainDeltas); err != nil {
+// settle flushes (and so consolidates) every page and the log buffer, so
+// steady-state pages are measured.
+func settle(s *deuteronomy.Stack) error {
+	for _, pid := range s.Tree.Pages() {
+		if err := s.Tree.FlushPage(pid); err != nil {
 			return err
 		}
 	}
-	return s.st.Flush(nil)
+	return s.Log.Flush(nil)
+}
+
+func evictAll(s *deuteronomy.Stack, retainDeltas bool) error {
+	for _, pid := range s.Tree.Pages() {
+		if err := s.Tree.EvictPage(pid, retainDeltas); err != nil {
+			return err
+		}
+	}
+	return s.Log.Flush(nil)
 }
 
 // ---------------------------------------------------------------------------
@@ -92,28 +79,30 @@ type RResult struct {
 // DeriveR loads a keyspace, measures P0 on warm reads, then sweeps the SS
 // fraction by directing a controlled share of reads at evicted pages.
 func DeriveR(keys uint64, fractions []float64, path ssd.IOPath) (*RResult, error) {
-	s, err := newStack(path)
+	dev := ssd.SamsungSSD
+	dev.Path = path
+	s, err := newStack(sim.NewSession(sim.DefaultCosts()), ssd.New(dev))
 	if err != nil {
 		return nil, err
 	}
-	if err := s.load(keys, 64); err != nil {
+	if err := load(s, keys, 64); err != nil {
 		return nil, err
 	}
 	// Warm everything, then measure P0.
 	for i := uint64(0); i < keys; i++ {
-		if _, _, err := s.tree.Get(workload.Key(i)); err != nil {
+		if _, _, err := s.Tree.Get(workload.Key(i)); err != nil {
 			return nil, err
 		}
 	}
-	s.sess.Tracker().Reset()
+	s.Session.Tracker().Reset()
 	rng := rand.New(rand.NewSource(42))
 	const warmOps = 4000
 	for i := 0; i < warmOps; i++ {
-		if _, _, err := s.tree.Get(workload.Key(uint64(rng.Int63n(int64(keys) / 2)))); err != nil {
+		if _, _, err := s.Tree.Get(workload.Key(uint64(rng.Int63n(int64(keys) / 2)))); err != nil {
 			return nil, err
 		}
 	}
-	p0 := s.sess.Tracker().Throughput()
+	p0 := s.Session.Tracker().Throughput()
 	res := &RResult{P0: p0}
 
 	// Stride cold reads so each one hits a distinct evicted page; the
@@ -123,12 +112,12 @@ func DeriveR(keys uint64, fractions []float64, path ssd.IOPath) (*RResult, error
 	coldPool := (keys - coldBase) / stride
 
 	for _, f := range fractions {
-		if err := s.evictAll(false); err != nil {
+		if err := evictAll(s, false); err != nil {
 			return nil, err
 		}
 		// Re-warm the warm half completely so its reads are pure MM.
 		for i := uint64(0); i < keys/2; i++ {
-			if _, _, err := s.tree.Get(workload.Key(i)); err != nil {
+			if _, _, err := s.Tree.Get(workload.Key(i)); err != nil {
 				return nil, err
 			}
 		}
@@ -137,7 +126,7 @@ func DeriveR(keys uint64, fractions []float64, path ssd.IOPath) (*RResult, error
 		if f > 0 && float64(coldPool)/f < float64(ops) {
 			ops = int(float64(coldPool) / f)
 		}
-		s.sess.Tracker().Reset()
+		s.Session.Tracker().Reset()
 		rng := rand.New(rand.NewSource(7))
 		coldCursor := uint64(0)
 		for i := 0; i < ops; i++ {
@@ -145,17 +134,17 @@ func DeriveR(keys uint64, fractions []float64, path ssd.IOPath) (*RResult, error
 				// Cold read: a distinct evicted page each time.
 				k := coldBase + coldCursor*stride
 				coldCursor++
-				if _, _, err := s.tree.Get(workload.Key(k)); err != nil {
+				if _, _, err := s.Tree.Get(workload.Key(k)); err != nil {
 					return nil, err
 				}
 			} else {
 				k := uint64(rng.Int63n(int64(keys) / 2))
-				if _, _, err := s.tree.Get(workload.Key(k)); err != nil {
+				if _, _, err := s.Tree.Get(workload.Key(k)); err != nil {
 					return nil, err
 				}
 			}
 		}
-		tk := s.sess.Tracker()
+		tk := s.Session.Tracker()
 		mf := tk.MissFraction()
 		pf := tk.Throughput()
 		pt := RPoint{TargetF: f, MeasuredF: mf, RelPerf: pf / p0}
@@ -209,7 +198,8 @@ type MxPxResult struct {
 // and read-only execution cost.
 func MeasureMxPx(keys uint64, valueSize int) (*MxPxResult, error) {
 	sessBw := sim.NewSession(sim.DefaultCosts())
-	bw, err := bwtree.New(bwtree.Config{Session: sessBw}) // main-memory mode
+	// A main-memory tree with no store: not the data caching stack.
+	bw, err := bwtree.New(bwtree.Config{Session: sessBw})
 	if err != nil {
 		return nil, err
 	}

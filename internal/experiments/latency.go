@@ -9,7 +9,6 @@ import (
 	"costperf/internal/core"
 	"costperf/internal/metrics"
 	"costperf/internal/sim"
-	"costperf/internal/ssd"
 	"costperf/internal/workload"
 )
 
@@ -36,44 +35,44 @@ type LatencyResult struct {
 // cost-units scaled so the mean MM operation takes 1/ROPS seconds, plus
 // the device latency for operations that performed I/O.
 func MeasureLatency(keys, ops int) (*LatencyResult, error) {
-	s, err := newStack(ssd.UserLevelPath)
+	s, err := newStack(sim.NewSession(sim.DefaultCosts()), nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.load(uint64(keys), 64); err != nil {
+	if err := load(s, uint64(keys), 64); err != nil {
 		return nil, err
 	}
 	// Evict the cold 90%: the hot 10% stays resident.
 	costs := core.PaperCosts()
 	// Warm the hot set after evicting everything.
-	if err := s.evictAll(false); err != nil {
+	if err := evictAll(s, false); err != nil {
 		return nil, err
 	}
 	for i := 0; i < keys/10; i++ {
-		if _, _, err := s.tree.Get(workload.Key(uint64(i))); err != nil {
+		if _, _, err := s.Tree.Get(workload.Key(uint64(i))); err != nil {
 			return nil, err
 		}
 	}
 
 	// Calibrate: measure mean MM cost so cost-units map to 1/ROPS.
-	s.sess.Tracker().Reset()
+	s.Session.Tracker().Reset()
 	for i := 0; i < 500; i++ {
-		if _, _, err := s.tree.Get(workload.Key(uint64(i % (keys / 10)))); err != nil {
+		if _, _, err := s.Tree.Get(workload.Key(uint64(i % (keys / 10)))); err != nil {
 			return nil, err
 		}
 	}
-	mmUnit := float64(s.sess.Tracker().MeanCost(sim.OpMM))
+	mmUnit := float64(s.Session.Tracker().MeanCost(sim.OpMM))
 	if mmUnit <= 0 {
 		return nil, fmt.Errorf("experiments: calibration failed")
 	}
 	unitSeconds := (1 / costs.ROPS) / mmUnit
-	devLatency := s.dev.Latency()
+	devLatency := s.Device.Latency()
 
 	var hist metrics.Histogram
 	var mmSum, ssSum float64
 	var mmN, ssN int64
 	rng := rand.New(rand.NewSource(5))
-	tk := s.sess.Tracker()
+	tk := s.Session.Tracker()
 	tk.Reset()
 	prevCost := sim.Cost(0)
 	prevSS := int64(0)
@@ -87,7 +86,7 @@ func MeasureLatency(keys, ops int) (*LatencyResult, error) {
 		} else {
 			k = workload.Key(uint64(rng.Intn(keys / 10)))
 		}
-		if _, _, err := s.tree.Get(k); err != nil {
+		if _, _, err := s.Tree.Get(k); err != nil {
 			return nil, err
 		}
 		cost := tk.TotalCost()

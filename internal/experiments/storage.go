@@ -5,6 +5,8 @@ import (
 	"math/rand"
 
 	"costperf/internal/btree"
+	"costperf/internal/deuteronomy"
+	"costperf/internal/sim"
 	"costperf/internal/ssd"
 	"costperf/internal/workload"
 )
@@ -49,33 +51,33 @@ func MeasurePageModel(keys int, valueSize int) (*PageModelResult, error) {
 	}
 
 	// Bw-tree over the log store: flushed bytes vs content bytes.
-	s, err := newStack(ssd.UserLevelPath)
+	s, err := newStack(sim.NewSession(sim.DefaultCosts()), nil)
 	if err != nil {
 		return nil, err
 	}
 	rng = rand.New(rand.NewSource(5))
 	for i := 0; i < keys; i++ {
 		id := uint64(rng.Int63())
-		if err := s.tree.Insert(workload.Key(id), workload.ValueFor(id, valueSize)); err != nil {
+		if err := s.Tree.Insert(workload.Key(id), workload.ValueFor(id, valueSize)); err != nil {
 			return nil, err
 		}
 	}
 	// Consolidate + flush everything; compare content to written bytes.
-	written0 := s.st.Stats().BytesAppended.Value()
+	written0 := s.Log.Stats().BytesAppended.Value()
 	var content int64
-	for _, pid := range s.tree.Pages() {
-		if err := s.tree.FlushPage(pid); err != nil {
+	for _, pid := range s.Tree.Pages() {
+		if err := s.Tree.FlushPage(pid); err != nil {
 			return nil, err
 		}
 	}
-	content = int64(s.tree.AveragePageBytes() * float64(len(s.tree.Pages())))
-	written := s.st.Stats().BytesAppended.Value() - written0
+	content = int64(s.Tree.AveragePageBytes() * float64(len(s.Tree.Pages())))
+	written := s.Log.Stats().BytesAppended.Value() - written0
 
 	res := &PageModelResult{
 		Keys:                  keys,
 		BTreeUtilization:      util,
 		BTreeAvgPageBytes:     ps,
-		BwAvgPageContentBytes: s.tree.AveragePageBytes(),
+		BwAvgPageContentBytes: s.Tree.AveragePageBytes(),
 	}
 	if written > 0 {
 		res.BwStorageUtilization = float64(content) / float64(written)
@@ -140,31 +142,26 @@ func MeasureWriteReduction(keys, updates, valueSize int) (*WriteReductionResult,
 	btBytes := bdev.Stats().BytesWritten.Value() - bb0
 
 	// Bw-tree over log store.
-	s, err := newStack(ssd.UserLevelPath)
+	s, err := newStack(sim.NewSession(sim.DefaultCosts()), nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.load(uint64(keys), valueSize); err != nil {
+	if err := load(s, uint64(keys), valueSize); err != nil {
 		return nil, err
 	}
-	dw0, db0 := s.dev.Stats().Writes.Value(), s.dev.Stats().BytesWritten.Value()
+	dw0, db0 := s.Device.Stats().Writes.Value(), s.Device.Stats().BytesWritten.Value()
 	rng = rand.New(rand.NewSource(9))
 	for i := 0; i < updates; i++ {
 		id := uint64(rng.Int63n(int64(keys)))
-		if err := s.tree.Insert(workload.Key(id), workload.ValueFor(id+uint64(i), valueSize)); err != nil {
+		if err := s.Tree.Insert(workload.Key(id), workload.ValueFor(id+uint64(i), valueSize)); err != nil {
 			return nil, err
 		}
 	}
-	for _, pid := range s.tree.Pages() {
-		if err := s.tree.FlushPage(pid); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.st.Flush(nil); err != nil {
+	if err := settle(s); err != nil {
 		return nil, err
 	}
-	bwWrites := s.dev.Stats().Writes.Value() - dw0
-	bwBytes := s.dev.Stats().BytesWritten.Value() - db0
+	bwWrites := s.Device.Stats().Writes.Value() - dw0
+	bwBytes := s.Device.Stats().BytesWritten.Value() - db0
 
 	res := &WriteReductionResult{
 		Updates:           updates,
@@ -203,40 +200,40 @@ type BlindUpdateResult struct {
 // MeasureBlindUpdates evicts the whole tree and compares device read I/Os
 // for blind writes versus read-modify-writes over the same keys.
 func MeasureBlindUpdates(keys, writes int) (*BlindUpdateResult, error) {
-	s, err := newStack(ssd.UserLevelPath)
+	s, err := newStack(sim.NewSession(sim.DefaultCosts()), nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.load(uint64(keys), 64); err != nil {
+	if err := load(s, uint64(keys), 64); err != nil {
 		return nil, err
 	}
-	if err := s.evictAll(false); err != nil {
+	if err := evictAll(s, false); err != nil {
 		return nil, err
 	}
-	r0 := s.dev.Stats().Reads.Value()
+	r0 := s.Device.Stats().Reads.Value()
 	for i := 0; i < writes; i++ {
 		id := uint64(i) % uint64(keys)
-		if err := s.tree.BlindWrite(workload.Key(id), workload.ValueFor(id+1, 64)); err != nil {
+		if err := s.Tree.BlindWrite(workload.Key(id), workload.ValueFor(id+1, 64)); err != nil {
 			return nil, err
 		}
 	}
-	blindReads := s.dev.Stats().Reads.Value() - r0
+	blindReads := s.Device.Stats().Reads.Value() - r0
 
-	if err := s.evictAll(false); err != nil {
+	if err := evictAll(s, false); err != nil {
 		return nil, err
 	}
-	r1 := s.dev.Stats().Reads.Value()
+	r1 := s.Device.Stats().Reads.Value()
 	for i := 0; i < writes; i++ {
 		id := uint64(i) % uint64(keys)
 		// Read-modify-write: the traditional path.
-		if _, _, err := s.tree.Get(workload.Key(id)); err != nil {
+		if _, _, err := s.Tree.Get(workload.Key(id)); err != nil {
 			return nil, err
 		}
-		if err := s.tree.Insert(workload.Key(id), workload.ValueFor(id+2, 64)); err != nil {
+		if err := s.Tree.Insert(workload.Key(id), workload.ValueFor(id+2, 64)); err != nil {
 			return nil, err
 		}
 	}
-	rmwReads := s.dev.Stats().Reads.Value() - r1
+	rmwReads := s.Device.Stats().Reads.Value() - r1
 
 	return &BlindUpdateResult{Writes: writes, ReadIOsBlind: blindReads, ReadIOsReadModify: rmwReads}, nil
 }
@@ -269,38 +266,33 @@ type GCTradeoffResult struct {
 // after every flush wave (eager) and once collecting only at the end
 // (delayed), comparing reclaimed bytes per GC run.
 func MeasureGCTradeoff(keys, rounds int) (*GCTradeoffResult, error) {
-	run := func(eager bool) (*stack, error) {
-		s, err := newStack(ssd.UserLevelPath)
+	run := func(eager bool) (*deuteronomy.Stack, error) {
+		s, err := newStack(sim.NewSession(sim.DefaultCosts()), nil)
 		if err != nil {
 			return nil, err
 		}
-		if err := s.load(uint64(keys), 200); err != nil {
+		if err := load(s, uint64(keys), 200); err != nil {
 			return nil, err
 		}
 		for round := 0; round < rounds; round++ {
 			for i := 0; i < keys; i += 3 {
 				id := uint64(i)
-				if err := s.tree.Insert(workload.Key(id), workload.ValueFor(id+uint64(round), 200)); err != nil {
+				if err := s.Tree.Insert(workload.Key(id), workload.ValueFor(id+uint64(round), 200)); err != nil {
 					return nil, err
 				}
 			}
-			for _, pid := range s.tree.Pages() {
-				if err := s.tree.FlushPage(pid); err != nil {
-					return nil, err
-				}
-			}
-			if err := s.st.Flush(nil); err != nil {
+			if err := settle(s); err != nil {
 				return nil, err
 			}
 			if eager {
-				if _, err := s.st.CollectSegment(s.tree.RelocateForGC, nil); err != nil {
+				if _, err := s.Log.CollectSegment(s.Tree.RelocateForGC, nil); err != nil {
 					return nil, err
 				}
 			}
 		}
 		if !eager {
 			for i := 0; i < rounds; i++ {
-				if _, err := s.st.CollectSegment(s.tree.RelocateForGC, nil); err != nil {
+				if _, err := s.Log.CollectSegment(s.Tree.RelocateForGC, nil); err != nil {
 					return nil, err
 				}
 			}
@@ -316,12 +308,12 @@ func MeasureGCTradeoff(keys, rounds int) (*GCTradeoffResult, error) {
 		return nil, err
 	}
 	res := &GCTradeoffResult{
-		EagerRuns:        eager.st.Stats().GCRuns.Value(),
-		EagerReclaimed:   eager.st.Stats().GCReclaimed.Value(),
-		EagerRelocated:   eager.st.Stats().GCRelocated.Value(),
-		DelayedRuns:      delayed.st.Stats().GCRuns.Value(),
-		DelayedReclaimed: delayed.st.Stats().GCReclaimed.Value(),
-		DelayedRelocated: delayed.st.Stats().GCRelocated.Value(),
+		EagerRuns:        eager.Log.Stats().GCRuns.Value(),
+		EagerReclaimed:   eager.Log.Stats().GCReclaimed.Value(),
+		EagerRelocated:   eager.Log.Stats().GCRelocated.Value(),
+		DelayedRuns:      delayed.Log.Stats().GCRuns.Value(),
+		DelayedReclaimed: delayed.Log.Stats().GCReclaimed.Value(),
+		DelayedRelocated: delayed.Log.Stats().GCRelocated.Value(),
 	}
 	if res.EagerRuns > 0 {
 		res.EagerPerRun = float64(res.EagerReclaimed) / float64(res.EagerRuns)

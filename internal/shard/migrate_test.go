@@ -91,9 +91,11 @@ func verifyFenced(t *testing.T, m *Migration) {
 	}
 }
 
-func TestLiveMigrationUnderLoad(t *testing.T) {
+func TestLiveMigrationUnderLoad(t *testing.T) { forEachDC(t, testLiveMigrationUnderLoad) }
+
+func testLiveMigrationUnderLoad(t *testing.T, newDC func(int) tc.DataComponent) {
 	const shards, keys = 4, 240
-	r := newTestRouter(t, shards, nil)
+	r := newTestRouter(t, shards, withDC(newDC))
 	loadRouter(t, r, keys)
 
 	p := startWriters(r, 3, keys)
@@ -153,45 +155,47 @@ func TestMigrationCrashAtEveryBoundaryResumes(t *testing.T) {
 		ph := ph
 		t.Run(ph.String(), func(t *testing.T) {
 			t.Parallel()
-			const shards, keys = 3, 120
-			r := newTestRouter(t, shards, func(c *Config) { c.CutoverWait = 200 * time.Millisecond })
-			loadRouter(t, r, keys)
-			p := startWriters(r, 2, keys)
+			forEachDC(t, func(t *testing.T, newDC func(int) tc.DataComponent) {
+				const shards, keys = 3, 120
+				r := newTestRouter(t, shards, func(c *Config) { c.CutoverWait = 200 * time.Millisecond; c.NewDC = newDC })
+				loadRouter(t, r, keys)
+				p := startWriters(r, 2, keys)
 
-			var crashed atomic.Bool
-			m, err := r.Migrate(MigrateConfig{
-				Shard: 0,
-				OnPhase: func(got Phase) error {
-					if got == ph && !crashed.Swap(true) {
-						return errCrash
-					}
-					return nil
-				},
+				var crashed atomic.Bool
+				m, err := r.Migrate(MigrateConfig{
+					Shard: 0,
+					OnPhase: func(got Phase) error {
+						if got == ph && !crashed.Swap(true) {
+							return errCrash
+						}
+						return nil
+					},
+				})
+				if err != nil {
+					t.Fatalf("migrate: %v", err)
+				}
+				ctx := context.Background()
+				if err := m.Run(ctx); !errors.Is(err, errCrash) {
+					t.Fatalf("run with crash at %v = %v, want the crash", ph, err)
+				}
+				if m.Done() {
+					t.Fatal("migration claims done after crashing")
+				}
+				if !errors.Is(m.Err(), errCrash) {
+					t.Fatalf("Err() = %v", m.Err())
+				}
+				// Resume: the second run must complete and converge.
+				if err := m.Run(ctx); err != nil {
+					t.Fatalf("resume after crash at %v: %v", ph, err)
+				}
+				if !m.Done() {
+					t.Fatal("resumed migration not done")
+				}
+				time.Sleep(5 * time.Millisecond)
+				p.halt()
+				verifyAcked(t, r, p)
+				verifyFenced(t, m)
 			})
-			if err != nil {
-				t.Fatalf("migrate: %v", err)
-			}
-			ctx := context.Background()
-			if err := m.Run(ctx); !errors.Is(err, errCrash) {
-				t.Fatalf("run with crash at %v = %v, want the crash", ph, err)
-			}
-			if m.Done() {
-				t.Fatal("migration claims done after crashing")
-			}
-			if !errors.Is(m.Err(), errCrash) {
-				t.Fatalf("Err() = %v", m.Err())
-			}
-			// Resume: the second run must complete and converge.
-			if err := m.Run(ctx); err != nil {
-				t.Fatalf("resume after crash at %v: %v", ph, err)
-			}
-			if !m.Done() {
-				t.Fatal("resumed migration not done")
-			}
-			time.Sleep(5 * time.Millisecond)
-			p.halt()
-			verifyAcked(t, r, p)
-			verifyFenced(t, m)
 		})
 	}
 }

@@ -53,9 +53,11 @@ func sameKV(t *testing.T, got, want map[string]string, label string) {
 // TestSplitMovesBoundedKeyRange is the bounded-movement claim in unit
 // form: after a split, exactly the keys hashing into the parent's range
 // changed owner; every other key's placement is untouched.
-func TestSplitMovesBoundedKeyRange(t *testing.T) {
+func TestSplitMovesBoundedKeyRange(t *testing.T) { forEachDC(t, testSplitMovesBoundedKeyRange) }
+
+func testSplitMovesBoundedKeyRange(t *testing.T, newDC func(int) tc.DataComponent) {
 	const n, keys = 4, 400
-	r := newTestRouter(t, n, nil)
+	r := newTestRouter(t, n, withDC(newDC))
 	want := loadKeys(t, r, keys)
 	ctx := testCtx()
 
@@ -155,9 +157,11 @@ func TestSplitMovesBoundedKeyRange(t *testing.T) {
 // TestMergeAdjacentShards merges a split's children back and checks the
 // merged owner serves the union, both sources stay fenced, and
 // non-adjacent merges are refused.
-func TestMergeAdjacentShards(t *testing.T) {
+func TestMergeAdjacentShards(t *testing.T) { forEachDC(t, testMergeAdjacentShards) }
+
+func testMergeAdjacentShards(t *testing.T, newDC func(int) tc.DataComponent) {
 	const n, keys = 4, 300
-	r := newTestRouter(t, n, nil)
+	r := newTestRouter(t, n, withDC(newDC))
 	want := loadKeys(t, r, keys)
 	ctx := testCtx()
 
@@ -244,47 +248,49 @@ func TestSplitCrashResumeAtEveryBoundary(t *testing.T) {
 	for crashAfter := PhasePrepare; crashAfter <= PhaseSeal; crashAfter++ {
 		crashAfter := crashAfter
 		t.Run(fmt.Sprintf("crash-after-%v", crashAfter), func(t *testing.T) {
-			r := newTestRouter(t, 3, nil)
-			want := loadKeys(t, r, 150)
-			ctx := testCtx()
+			forEachDC(t, func(t *testing.T, newDC func(int) tc.DataComponent) {
+				r := newTestRouter(t, 3, withDC(newDC))
+				want := loadKeys(t, r, 150)
+				ctx := testCtx()
 
-			crashed := false
-			s, err := r.Split(SplitConfig{
-				Shard: 1,
-				OnPhase: func(p Phase) error {
-					if p == crashAfter && !crashed {
-						crashed = true
-						return fmt.Errorf("injected crash after %v", p)
-					}
-					return nil
-				},
-			})
-			if err != nil {
-				t.Fatalf("split: %v", err)
-			}
-			if err := s.Run(ctx); err == nil {
-				t.Fatalf("run survived the injected crash after %v", crashAfter)
-			}
-			if s.Done() {
-				t.Fatal("split claims done after crash")
-			}
-			// Resume: blind redo from the recorded resume point.
-			if err := s.Run(ctx); err != nil {
-				t.Fatalf("resume after %v crash: %v", crashAfter, err)
-			}
-			if !s.Done() {
-				t.Fatal("split not done after resume")
-			}
-			if r.Shards() != 4 || r.MapEpoch() != 1 {
-				t.Fatalf("post-resume shards=%d epoch=%d", r.Shards(), r.MapEpoch())
-			}
-			for i := 0; i < 150; i++ {
-				v, ok, err := r.Get(ctx, key(i))
-				if err != nil || !ok || string(v) != want[string(key(i))] {
-					t.Fatalf("get %d = %q/%v/%v", i, v, ok, err)
+				crashed := false
+				s, err := r.Split(SplitConfig{
+					Shard: 1,
+					OnPhase: func(p Phase) error {
+						if p == crashAfter && !crashed {
+							crashed = true
+							return fmt.Errorf("injected crash after %v", p)
+						}
+						return nil
+					},
+				})
+				if err != nil {
+					t.Fatalf("split: %v", err)
 				}
-			}
-			sameKV(t, dumpRouter(t, r), want, "post-resume dump")
+				if err := s.Run(ctx); err == nil {
+					t.Fatalf("run survived the injected crash after %v", crashAfter)
+				}
+				if s.Done() {
+					t.Fatal("split claims done after crash")
+				}
+				// Resume: blind redo from the recorded resume point.
+				if err := s.Run(ctx); err != nil {
+					t.Fatalf("resume after %v crash: %v", crashAfter, err)
+				}
+				if !s.Done() {
+					t.Fatal("split not done after resume")
+				}
+				if r.Shards() != 4 || r.MapEpoch() != 1 {
+					t.Fatalf("post-resume shards=%d epoch=%d", r.Shards(), r.MapEpoch())
+				}
+				for i := 0; i < 150; i++ {
+					v, ok, err := r.Get(ctx, key(i))
+					if err != nil || !ok || string(v) != want[string(key(i))] {
+						t.Fatalf("get %d = %q/%v/%v", i, v, ok, err)
+					}
+				}
+				sameKV(t, dumpRouter(t, r), want, "post-resume dump")
+			})
 		})
 	}
 }
@@ -295,43 +301,45 @@ func TestMergeCrashResumeAtEveryBoundary(t *testing.T) {
 	for crashAfter := PhasePrepare; crashAfter <= PhaseSeal; crashAfter++ {
 		crashAfter := crashAfter
 		t.Run(fmt.Sprintf("crash-after-%v", crashAfter), func(t *testing.T) {
-			r := newTestRouter(t, 4, nil)
-			want := loadKeys(t, r, 150)
-			ctx := testCtx()
+			forEachDC(t, func(t *testing.T, newDC func(int) tc.DataComponent) {
+				r := newTestRouter(t, 4, withDC(newDC))
+				want := loadKeys(t, r, 150)
+				ctx := testCtx()
 
-			crashed := false
-			m, err := r.Merge(MergeConfig{
-				Left: 1, Right: 2,
-				OnPhase: func(p Phase) error {
-					if p == crashAfter && !crashed {
-						crashed = true
-						return fmt.Errorf("injected crash after %v", p)
-					}
-					return nil
-				},
-			})
-			if err != nil {
-				t.Fatalf("merge: %v", err)
-			}
-			if err := m.Run(ctx); err == nil {
-				t.Fatalf("run survived the injected crash after %v", crashAfter)
-			}
-			if err := m.Run(ctx); err != nil {
-				t.Fatalf("resume after %v crash: %v", crashAfter, err)
-			}
-			if !m.Done() {
-				t.Fatal("merge not done after resume")
-			}
-			if r.Shards() != 3 || r.MapEpoch() != 1 {
-				t.Fatalf("post-resume shards=%d epoch=%d", r.Shards(), r.MapEpoch())
-			}
-			for i := 0; i < 150; i++ {
-				v, ok, err := r.Get(ctx, key(i))
-				if err != nil || !ok || string(v) != want[string(key(i))] {
-					t.Fatalf("get %d = %q/%v/%v", i, v, ok, err)
+				crashed := false
+				m, err := r.Merge(MergeConfig{
+					Left: 1, Right: 2,
+					OnPhase: func(p Phase) error {
+						if p == crashAfter && !crashed {
+							crashed = true
+							return fmt.Errorf("injected crash after %v", p)
+						}
+						return nil
+					},
+				})
+				if err != nil {
+					t.Fatalf("merge: %v", err)
 				}
-			}
-			sameKV(t, dumpRouter(t, r), want, "post-resume dump")
+				if err := m.Run(ctx); err == nil {
+					t.Fatalf("run survived the injected crash after %v", crashAfter)
+				}
+				if err := m.Run(ctx); err != nil {
+					t.Fatalf("resume after %v crash: %v", crashAfter, err)
+				}
+				if !m.Done() {
+					t.Fatal("merge not done after resume")
+				}
+				if r.Shards() != 3 || r.MapEpoch() != 1 {
+					t.Fatalf("post-resume shards=%d epoch=%d", r.Shards(), r.MapEpoch())
+				}
+				for i := 0; i < 150; i++ {
+					v, ok, err := r.Get(ctx, key(i))
+					if err != nil || !ok || string(v) != want[string(key(i))] {
+						t.Fatalf("get %d = %q/%v/%v", i, v, ok, err)
+					}
+				}
+				sameKV(t, dumpRouter(t, r), want, "post-resume dump")
+			})
 		})
 	}
 }
@@ -339,8 +347,10 @@ func TestMergeCrashResumeAtEveryBoundary(t *testing.T) {
 // TestResizeUnderConcurrentWriters runs a split and then a merge of its
 // children under continuous writer load: every acked write must be
 // readable afterwards, and writers may only ever see moved-class errors.
-func TestResizeUnderConcurrentWriters(t *testing.T) {
-	r := newTestRouter(t, 4, nil)
+func TestResizeUnderConcurrentWriters(t *testing.T) { forEachDC(t, testResizeUnderConcurrentWriters) }
+
+func testResizeUnderConcurrentWriters(t *testing.T, newDC func(int) tc.DataComponent) {
+	r := newTestRouter(t, 4, withDC(newDC))
 	want := loadKeys(t, r, 200)
 	ctx := testCtx()
 

@@ -25,9 +25,10 @@ type Config struct {
 	Shards int
 
 	// NewDC builds a fresh data component for one shard replica. Nil
-	// defaults to NewMassDC. It is called once per plain shard, twice per
-	// replicated shard (primary + standby), and once per migration or
-	// resize target.
+	// defaults to NewMassDC, the main-memory comparator; NewBwDC builds
+	// the paper's Bw-tree data caching stack. It is called once per plain
+	// shard, twice per replicated shard (primary + standby), and once per
+	// migration or resize target.
 	NewDC func(shard int) tc.DataComponent
 	// NewLog builds a fresh recovery-log device with the given name. Nil
 	// defaults to a fast plain ssd.Device; pass a constructor returning

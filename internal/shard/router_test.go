@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"costperf/internal/tc"
 )
 
 func key(i int) []byte         { return []byte(fmt.Sprintf("key%05d", i)) }
@@ -26,6 +28,28 @@ func newTestRouter(t *testing.T, shards int, mut func(*Config)) *Router {
 	}
 	t.Cleanup(func() { r.Close() })
 	return r
+}
+
+// testDCs are the fleet's two data components: the main-memory MassTree
+// comparator and the paper's Bw-tree data caching stack.
+var testDCs = []struct {
+	name  string
+	newDC func(int) tc.DataComponent
+}{
+	{"mass", func(int) tc.DataComponent { return NewMassDC() }},
+	{"bw", func(int) tc.DataComponent { return NewBwDC() }},
+}
+
+// forEachDC runs fn once per fleet data component, as a subtest.
+func forEachDC(t *testing.T, fn func(t *testing.T, newDC func(int) tc.DataComponent)) {
+	for _, dc := range testDCs {
+		t.Run(dc.name, func(t *testing.T) { fn(t, dc.newDC) })
+	}
+}
+
+// withDC is a newTestRouter mutator that sets the router's DC.
+func withDC(newDC func(int) tc.DataComponent) func(*Config) {
+	return func(c *Config) { c.NewDC = newDC }
 }
 
 func TestRouterRoutesAcrossAllShards(t *testing.T) {

@@ -63,8 +63,12 @@ func collectScan(t *testing.T, r *Router, start []byte, limit int) ([]string, er
 }
 
 func TestScatterGatherScanMergesInOrder(t *testing.T) {
+	forEachDC(t, testScatterGatherScanMergesInOrder)
+}
+
+func testScatterGatherScanMergesInOrder(t *testing.T, newDC func(int) tc.DataComponent) {
 	const keys = 300
-	r := newTestRouter(t, 4, nil)
+	r := newTestRouter(t, 4, withDC(newDC))
 	loadRouter(t, r, keys)
 
 	got, err := collectScan(t, r, nil, 0)

@@ -29,7 +29,9 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 
+	"costperf/internal/deuteronomy"
 	"costperf/internal/masstree"
 )
 
@@ -121,3 +123,16 @@ func (d *MassDC) Scan(start []byte, limit int, fn func(key, val []byte) bool) er
 
 // Len reports the number of keys held.
 func (d *MassDC) Len() int { return d.t.Len() }
+
+// NewBwDC returns an empty Bw-tree data component: the paper's data
+// caching stack (deuteronomy.Open) on its own fresh Samsung-class SSD,
+// uncharged like NewMassDC. The stack's tree serves tc.DataComponent and
+// tc.Scanner; its Cache and Log stay reachable for maintenance.
+func NewBwDC() *deuteronomy.Stack {
+	s, err := deuteronomy.Open(deuteronomy.Config{})
+	if err != nil {
+		// Only a programming error fails to open an empty device.
+		panic(fmt.Sprintf("shard: NewBwDC: %v", err))
+	}
+	return s
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -433,9 +434,12 @@ func (m *Mirror) ReadAt(off int64, length int, ch *sim.Charger) ([]byte, error) 
 	return buf[off-start : off-start+int64(length)], nil
 }
 
-// Trim forwards to both legs and drops the checksums of every overlapped
-// page (the data is dead; it re-verifies from its next write). A
-// quarantined page is released only when the trim covers it entirely.
+// Trim forwards to both legs. A fully covered page loses its checksum
+// (it re-verifies from its next write) and leaves quarantine. A partly
+// covered page is re-summed from its verified image with the trimmed
+// range zeroed, so its surviving bytes stay verified; if it fails
+// verification on both legs it is quarantined, as a read would, and if
+// neither leg can read it the trim fails before either leg changes.
 func (m *Mirror) Trim(off, length int64) error {
 	if off < 0 || length < 0 {
 		return ErrOutOfRange
@@ -445,19 +449,35 @@ func (m *Mirror) Trim(off, length int64) error {
 	if m.closed {
 		return ErrClosed
 	}
+	end := off + length
+	resums := map[int64]uint32{}
+	for p := off / MirrorPageSize; p*MirrorPageSize < end; p++ {
+		ps, pe := p*MirrorPageSize, (p+1)*MirrorPageSize
+		_, summed := m.sums[p]
+		_, quarantined := m.quar[p]
+		if !summed || quarantined || off <= ps && end >= pe {
+			continue
+		}
+		if img, err := m.preimageLocked(p, nil); err == nil {
+			clear(img[max(off, ps)-ps : min(end, pe)-ps])
+			resums[p] = pageSum(img)
+		} else if !errors.Is(err, ErrQuarantined) {
+			return err
+		}
+	}
 	if err := m.legs[0].Trim(off, length); err != nil {
 		return err
 	}
 	if err := m.legs[1].Trim(off, length); err != nil {
 		return err
 	}
-	end := off + length
 	for p := off / MirrorPageSize; p*MirrorPageSize < end; p++ {
 		delete(m.sums, p)
 		if off <= p*MirrorPageSize && end >= (p+1)*MirrorPageSize {
 			delete(m.quar, p)
 		}
 	}
+	maps.Copy(m.sums, resums)
 	return nil
 }
 

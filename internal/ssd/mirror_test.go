@@ -524,3 +524,71 @@ func TestMirrorConcurrentIO(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMirrorPartialTrimKeepsPageVerified: a trim that covers part of a
+// page leaves the page's surviving bytes verified, so damage to them on
+// one leg is repaired from the other instead of served.
+func TestMirrorPartialTrimKeepsPageVerified(t *testing.T) {
+	m := testMirror()
+	a, b := pattern(6000, 71), pattern(4000, 72)
+	if err := m.WriteAt(0, a, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteAt(6000, b, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Trim(0, 6000); err != nil {
+		t.Fatal(err)
+	}
+	// Damage byte 7000 (page 1, which the trim shares) on leg 0 only.
+	if err := m.Leg(0).WriteAt(7000, []byte{^b[1000]}, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.ReadAt(6000, 4000, nil)
+	if err != nil {
+		t.Fatalf("read after one-leg damage: %v", err)
+	}
+	if !bytes.Equal(got, b) {
+		t.Fatal("served the damaged byte from leg 0")
+	}
+	if m.MirrorStats().ReadRepairs.Value() != 1 {
+		t.Fatalf("read repairs = %d, want 1", m.MirrorStats().ReadRepairs.Value())
+	}
+	// The trimmed head of page 1 reads as zeros and still verifies.
+	head, err := m.ReadAt(4096, 6000-4096, nil)
+	if err != nil || !bytes.Equal(head, make([]byte, 6000-4096)) {
+		t.Fatalf("trimmed head of page 1 = %v, err %v", head, err)
+	}
+}
+
+// TestMirrorPartialTrimOfDoublyCorruptPage: a partial trim of a page that
+// fails verification on both legs completes and quarantines the page, as
+// a read of it would; the fully trimmed page is released and reads zeros.
+func TestMirrorPartialTrimOfDoublyCorruptPage(t *testing.T) {
+	m := testMirror()
+	b := pattern(4000, 73)
+	if err := m.WriteAt(0, pattern(6000, 74), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteAt(6000, b, nil); err != nil {
+		t.Fatal(err)
+	}
+	for leg := 0; leg < 2; leg++ {
+		if err := m.Leg(leg).WriteAt(7000, []byte{^b[1000]}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Trim(0, 6000); err != nil {
+		t.Fatalf("trim: %v", err)
+	}
+	if pages := m.QuarantinedPages(); len(pages) != 1 || pages[0] != 1 {
+		t.Fatalf("quarantined pages %v, want [1]", pages)
+	}
+	if _, err := m.ReadAt(6000, 4000, nil); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("read of doubly corrupt page = %v, want ErrQuarantined", err)
+	}
+	got, err := m.ReadAt(0, MirrorPageSize, nil)
+	if err != nil || !bytes.Equal(got, make([]byte, MirrorPageSize)) {
+		t.Fatalf("fully trimmed page 0 = err %v", err)
+	}
+}

@@ -80,12 +80,20 @@ go test -run '^$' -bench 'Commit|Read' -benchtime 1x ./internal/tc
 go test -run '^$' -bench 'RoundTrip' -benchtime 1x ./internal/wire
 go test -run '^$' -bench EngineGet -benchtime 1x ./internal/obs
 # A bounded fuzz run of the recovery log's two decoders (the commit-record
-# codec and logstore's one frame decoder and walker) and of the repl ship
-# link's frame and ack decoders.
+# codec and logstore's one frame decoder and walker), of the repl ship
+# link's frame and ack decoders, and of the Bw-tree's three page decoders.
 go test -run '^$' -fuzz '^FuzzDecodeCommit$' -fuzztime 10s ./internal/tc
 go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s ./internal/llama/logstore
 go test -run '^$' -fuzz '^FuzzDecodeShipFrame$' -fuzztime 10s ./internal/repl
 go test -run '^$' -fuzz '^FuzzDecodeAck$' -fuzztime 10s ./internal/repl
+for target in FuzzDecodeLeafBase FuzzDecodeIndexBase FuzzDecodeDeltaBatch; do
+    go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/bwtree
+done
+# Every example program runs once, so a constructor change that breaks
+# one at run time fails the pass.
+for ex in examples/*/; do
+    go run "./$ex" >/dev/null
+done
 go test $SHORT -race ./...
 # The soak gates, one row each: gate variable, race detector (on/off),
 # timeout, -run regex, comma-separated packages, full-sweep flag (- for
