@@ -69,6 +69,10 @@ func encodeManifest(seq uint64, nextID uint64, tail int64, tables []tableMeta) [
 	return out
 }
 
+// decodeManifest parses a manifest body. Only what encodeManifest can
+// produce is accepted: a table count the bytes left cannot hold, a level
+// outside [0, maxLevels), a varint not in its shortest form and trailing
+// bytes all fail with ErrCorrupt.
 func decodeManifest(body []byte) (seq, nextID uint64, tail int64, tables []tableMeta, err error) {
 	pos := 0
 	get := func() uint64 {
@@ -76,7 +80,7 @@ func decodeManifest(body []byte) (seq, nextID uint64, tail int64, tables []table
 			return 0
 		}
 		v, n := binary.Uvarint(body[pos:])
-		if n <= 0 {
+		if n <= 0 || (n > 1 && body[pos+n-1] == 0) {
 			err = fmt.Errorf("%w: truncated manifest", ErrCorrupt)
 			return 0
 		}
@@ -87,22 +91,34 @@ func decodeManifest(body []byte) (seq, nextID uint64, tail int64, tables []table
 	nextID = get()
 	tail = int64(get())
 	n := get()
+	// A table takes at least one byte for each of its five fields.
+	if err == nil && n > uint64(len(body)-pos)/5 {
+		err = fmt.Errorf("%w: manifest claims %d tables in %d bytes", ErrCorrupt, n, len(body)-pos)
+	}
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
 	tables = make([]tableMeta, 0, n)
 	for i := uint64(0); i < n; i++ {
+		id := get()
+		level := get()
 		m := tableMeta{
-			id:      get(),
-			level:   int(get()),
+			id:      id,
+			level:   int(level),
 			dataOff: int64(get()),
 			dataLen: int64(get()),
 			entries: int(get()),
+		}
+		if err == nil && level >= maxLevels {
+			err = fmt.Errorf("%w: table %d on level %d beyond max %d", ErrCorrupt, id, level, maxLevels-1)
 		}
 		if err != nil {
 			return 0, 0, 0, nil, err
 		}
 		tables = append(tables, m)
+	}
+	if pos != len(body) {
+		return 0, 0, 0, nil, fmt.Errorf("%w: %d bytes after the manifest's tables", ErrCorrupt, len(body)-pos)
 	}
 	return seq, nextID, tail, tables, nil
 }
@@ -222,9 +238,6 @@ func Open(cfg Config) (*Tree, error) {
 		tbl, err := t.openTable(m)
 		if err != nil {
 			return nil, fmt.Errorf("lsm: recovering table %d: %w", m.id, err)
-		}
-		if m.level >= len(t.levels) {
-			return nil, fmt.Errorf("%w: table %d on level %d beyond max %d", ErrCorrupt, m.id, m.level, len(t.levels)-1)
 		}
 		// Manifest order is authoritative: L0 newest-first, deeper levels
 		// sorted by min key.

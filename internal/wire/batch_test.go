@@ -100,6 +100,15 @@ func onlyConn(t *testing.T, srv *Server) *srvConn {
 	return nil
 }
 
+// queued returns the number of response frames waiting in sc's send
+// queue, and whether a graceful close has asked the flusher to close the
+// connection after writing them.
+func queued(sc *srvConn) (int, bool) {
+	sc.qmu.Lock()
+	defer sc.qmu.Unlock()
+	return len(sc.ends), sc.closing
+}
+
 // waitFor polls cond until it holds or two seconds pass.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -296,9 +305,9 @@ func TestCoalescedWriteLossRetriesExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestDrainWritesResponsesQueuedBehindBatch holds the writer inside a
+// TestDrainWritesResponsesQueuedBehindBatch holds the flusher inside a
 // batched write while more responses queue behind it, then drains: every
-// response queued before the flush sentinel is written before the
+// response queued before the drain's close mark is written before the
 // connection closes, and Responses counts frames, not writes.
 func TestDrainWritesResponsesQueuedBehindBatch(t *testing.T) {
 	srv, mb := newTestServer(t, ServerConfig{})
@@ -327,8 +336,11 @@ func TestDrainWritesResponsesQueuedBehindBatch(t *testing.T) {
 		defer cancel()
 		drained <- srv.Drain(ctx)
 	}()
-	// The responses not in the held write, then the flush sentinel.
-	waitFor(t, "the flush sentinel", func() bool { return len(sc.out) == n-held+1 })
+	// The responses not in the held write, then the close mark.
+	waitFor(t, "the close mark", func() bool {
+		frames, closing := queued(sc)
+		return frames == n-held && closing
+	})
 	got := readResponses(a)
 	close(gate.release)
 
@@ -381,7 +393,10 @@ func TestLargeResponsesStopBatchAtCap(t *testing.T) {
 	if _, err := a.Write(reqs); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	waitFor(t, "queued scan responses", func() bool { return len(sc.out) == scans })
+	waitFor(t, "queued scan responses", func() bool {
+		frames, _ := queued(sc)
+		return frames == scans
+	})
 	close(gate.release)
 	waitFor(t, "all responses", func() bool { return srv.Stats().Responses.Value() == 1+scans })
 

@@ -406,15 +406,13 @@ func (c *Client) attempt(ctx context.Context, req request, isRead bool) (body []
 		return nil, false, 0, ctx.Err()
 	}
 
-	call := cc.register(req.Seq)
+	call := cc.register(req.Seq, time.Until(attemptDl))
 	defer cc.unregister(req.Seq, call)
 	if err := cc.send(req, attemptDl); err != nil {
 		return nil, true, 0, err
 	}
 	c.stats.Sent.Inc()
 
-	timer := time.NewTimer(time.Until(attemptDl))
-	defer timer.Stop()
 	var hedge <-chan time.Time
 	if isRead && c.cfg.HedgeAfter > 0 && time.Until(attemptDl) > 2*c.cfg.HedgeAfter {
 		ht := time.NewTimer(c.cfg.HedgeAfter)
@@ -436,7 +434,8 @@ func (c *Client) attempt(ctx context.Context, req request, isRead bool) (body []
 			if err := cc.send(req, attemptDl); err == nil {
 				c.stats.Sent.Inc()
 			}
-		case <-timer.C:
+		case <-call.timer.C:
+			call.fired = true
 			c.stats.AttemptTimeouts.Inc()
 			if cc.consecTO.Add(1) >= int64(c.cfg.ConsecTimeouts) {
 				// The connection has eaten several attempts in a row:
@@ -591,17 +590,26 @@ type clientConn struct {
 }
 
 // call is one in-flight attempt's registration. Records are pooled, so an
-// attempt allocates neither a call nor its done channel.
+// attempt allocates neither a call, nor its done channel, nor its attempt
+// timer.
 type call struct {
 	done   chan struct{} // capacity 1: signaled once, under clientConn.mu
 	status Status
 	body   []byte
+	timer  *time.Timer // the attempt timeout; stopped and drained while pooled
+	fired  bool        // the attempt received from timer.C
 }
 
-var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
+var callPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &call{done: make(chan struct{}, 1), timer: t}
+}}
 
-func (cc *clientConn) register(seq uint64) *call {
+// register makes a call pending for seq and arms its attempt timer.
+func (cc *clientConn) register(seq uint64, timeout time.Duration) *call {
 	cl := callPool.Get().(*call)
+	cl.timer.Reset(timeout)
 	cc.mu.Lock()
 	cc.pending[seq] = cl
 	cc.mu.Unlock()
@@ -610,7 +618,9 @@ func (cc *clientConn) register(seq uint64) *call {
 
 // unregister retires cl and pools it. A response settles a call only
 // while it is pending, under cc.mu, so once it is out of the table and
-// its signal is drained nothing can reach it any more.
+// its signal is drained nothing can reach it any more. Its timer is
+// stopped, and drained when it fired unseen: go.mod's go 1.22 keeps the
+// timer channel's buffered semantics, where a tick may already sit in it.
 func (cc *clientConn) unregister(seq uint64, cl *call) {
 	cc.mu.Lock()
 	if cc.pending[seq] == cl {
@@ -621,7 +631,10 @@ func (cc *clientConn) unregister(seq uint64, cl *call) {
 	case <-cl.done:
 	default:
 	}
-	cl.status, cl.body = 0, nil
+	if !cl.timer.Stop() && !cl.fired {
+		<-cl.timer.C
+	}
+	cl.status, cl.body, cl.fired = 0, nil, false
 	callPool.Put(cl)
 }
 

@@ -53,10 +53,10 @@ type Adviser interface {
 type ServerConfig struct {
 	// Backend serves the requests (required).
 	Backend Backend
-	// MaxInFlight bounds per-connection pipelining: at most this many
-	// requests execute concurrently per connection; beyond it the read
-	// loop stops, pushing backpressure into the client's send path
-	// (default 32).
+	// MaxInFlight bounds per-connection pipelining: a connection runs at
+	// most this many workers, so at most this many of its requests execute
+	// at once; beyond it the read loop stops, pushing backpressure into
+	// the client's send path (default 32).
 	MaxInFlight int
 	// WriteStallTimeout evicts a connection whose client has stopped
 	// draining responses: a single response write blocked past this bound
@@ -211,17 +211,17 @@ func (s *Server) ServeConn(c net.Conn) {
 		c.Close()
 		return
 	}
-	sc := &srvConn{
-		s:    s,
-		c:    c,
-		sem:  make(chan struct{}, s.cfg.MaxInFlight),
-		out:  make(chan response, s.cfg.MaxInFlight+2),
-		done: make(chan struct{}),
+	sc := &srvConn{s: s, c: c, reqs: make(chan request)}
+	sc.ctx, sc.cancel = context.WithCancel(s.ctx)
+	for cl := range sc.classCtx {
+		sc.classCtx[cl] = overload.WithClass(sc.ctx, overload.Class(cl))
 	}
 	sc.infCond.L = &sc.infMu
+	sc.space.L = &sc.qmu
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
+		sc.cancel()
 		c.Close()
 		return
 	}
@@ -229,9 +229,8 @@ func (s *Server) ServeConn(c net.Conn) {
 	s.mu.Unlock()
 	s.stats.Accepted.Inc()
 	s.stats.CurConns.Add(1)
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go sc.reader()
-	go sc.writer()
 }
 
 // Drain gracefully shuts the server down: stop accepting, refuse new
@@ -299,15 +298,27 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// srvConn is one served connection: a reader that decodes and dispatches
-// under the in-flight window, a writer that batches responses into one
-// write with stall eviction, and a handler goroutine per in-flight request.
+// srvConn is one served connection: a reader that decodes requests and
+// hands each to a worker, and a set of at most MaxInFlight workers that
+// execute requests and write the responses themselves, through one send
+// queue with slow-client eviction.
 type srvConn struct {
 	s *Server
 	c net.Conn
 
-	sem chan struct{} // in-flight window slots
-	out chan response // responses waiting for the writer
+	// ctx is cancelled when the connection closes, so an evicted
+	// connection's in-flight work stops at its next context check.
+	// classCtx holds its child for each wire class, built once, so a
+	// request's deadline is its only per-request context.
+	ctx      context.Context
+	cancel   context.CancelFunc
+	classCtx [overload.ClassHigh + 1]context.Context
+
+	// reqs hands a request to an idle worker: it is unbuffered, so a send
+	// succeeds only while a worker is parked on it. workers counts the
+	// workers started; only the reader starts them.
+	reqs    chan request
+	workers atomic.Int32
 
 	// infMu guards the in-flight request count and the drain gate. A plain
 	// WaitGroup cannot express "wait for zero while arrivals may still
@@ -317,8 +328,22 @@ type srvConn struct {
 	infN    int
 	noMore  bool // set by gracefulClose: no new requests may start
 
+	// qmu guards the send queue: response frames encoded by workers and
+	// written by whichever of them is the flusher. ends holds each queued
+	// frame's end offset in queue, and spare is the flusher's other
+	// buffer. space wakes a worker waiting for the queue to drop below its
+	// bound. closing asks the flusher to close the connection after its
+	// last write; dead drops frames once the connection has closed.
+	qmu      sync.Mutex
+	space    sync.Cond
+	queue    []byte
+	spare    []byte
+	ends     []int
+	flushing bool
+	closing  bool
+	dead     bool
+
 	closeOnce sync.Once
-	done      chan struct{}
 }
 
 // beginRequest counts a request in flight; false means the connection is
@@ -343,10 +368,15 @@ func (sc *srvConn) endRequest() {
 	sc.infMu.Unlock()
 }
 
-// close hard-closes the connection and deregisters it.
+// close hard-closes the connection, cancels its requests' contexts and
+// deregisters it.
 func (sc *srvConn) close() {
 	sc.closeOnce.Do(func() {
-		close(sc.done)
+		sc.cancel()
+		sc.qmu.Lock()
+		sc.dead = true
+		sc.space.Broadcast()
+		sc.qmu.Unlock()
 		sc.c.Close()
 		sc.s.mu.Lock()
 		delete(sc.s.conns, sc)
@@ -355,9 +385,9 @@ func (sc *srvConn) close() {
 	})
 }
 
-// gracefulClose gates out new requests, waits for in-flight ones to
-// finish and queue their responses, then asks the writer to
-// flush-and-close.
+// gracefulClose gates out new requests and waits for in-flight ones to
+// queue their responses. It then closes at once if no write is running,
+// and otherwise leaves the close to the flusher, after its last write.
 func (sc *srvConn) gracefulClose() {
 	sc.infMu.Lock()
 	sc.noMore = true
@@ -365,19 +395,25 @@ func (sc *srvConn) gracefulClose() {
 		sc.infCond.Wait()
 	}
 	sc.infMu.Unlock()
-	sc.trySend(response{flush: true}) // writer closes after writing everything before it
+	sc.qmu.Lock()
+	if sc.flushing {
+		sc.closing = true
+		sc.qmu.Unlock()
+		return
+	}
+	sc.qmu.Unlock()
+	sc.close()
 }
 
-// response is one reply waiting for the writer, which encodes it straight
-// into its batch. An OK Get's body is found(1) then val; every other
-// response's body is carried as is.
+// response is one reply, encoded straight into the send queue. An OK
+// Get's body is found(1) then val; every other response's body is
+// carried as is.
 type response struct {
 	seq   uint64
 	st    Status
 	get   bool // an OK Get: found precedes val on the wire
 	found bool
 	body  []byte
-	flush bool // the drain sentinel: close once everything before it is written
 }
 
 // appendResponseFrame appends r to dst as one whole frame.
@@ -396,24 +432,98 @@ func appendResponseFrame(dst []byte, r response) []byte {
 	return b
 }
 
-// trySend queues a response (or the flush sentinel) without ever
-// blocking past a hard close.
-func (sc *srvConn) trySend(r response) {
-	select {
-	case sc.out <- r:
-	case <-sc.done:
+// push queues r's frame. While MaxInFlight+2 frames are already unwritten
+// it waits, so a client that stops reading holds workers rather than
+// growing the queue. It reports whether the caller became the flusher and
+// must call flush; a frame for a closed connection is dropped.
+func (sc *srvConn) push(r response) bool {
+	sc.qmu.Lock()
+	defer sc.qmu.Unlock()
+	for len(sc.ends) >= sc.s.cfg.MaxInFlight+2 && !sc.dead {
+		sc.space.Wait()
+	}
+	if sc.dead {
+		return false
+	}
+	sc.queue = appendResponseFrame(sc.queue, r)
+	sc.ends = append(sc.ends, len(sc.queue))
+	if sc.flushing {
+		return false
+	}
+	sc.flushing = true
+	return true
+}
+
+// writeBatchBytes caps one response write: the flusher stops taking
+// queued frames once its write holds this much, so a window of large scan
+// responses goes out in several writes rather than pinning megabytes per
+// connection. A single larger frame is written alone.
+const writeBatchBytes = 64 << 10
+
+// flush writes the send queue until it is empty; only the flusher calls
+// it. Each write takes every frame queued so far, up to the byte cap, so
+// at depth 1 a response costs one write and under pipelining responses
+// share it. A write blocked past WriteStallTimeout evicts the client, and
+// any failed write closes the connection.
+func (sc *srvConn) flush() {
+	sc.qmu.Lock()
+	for len(sc.ends) > 0 {
+		n := 1
+		for n < len(sc.ends) && sc.ends[n-1] < writeBatchBytes {
+			n++
+		}
+		cut := sc.ends[n-1]
+		buf := sc.queue
+		sc.queue = append(sc.spare[:0], buf[cut:]...)
+		sc.ends = sc.ends[:copy(sc.ends, sc.ends[n:])]
+		for i := range sc.ends {
+			sc.ends[i] -= cut
+		}
+		sc.space.Broadcast()
+		sc.qmu.Unlock()
+		if stall := sc.s.cfg.WriteStallTimeout; stall > 0 {
+			sc.c.SetWriteDeadline(time.Now().Add(stall))
+		}
+		if _, err := sc.c.Write(buf[:cut]); err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				sc.s.stats.Evicted.Inc()
+			}
+			sc.close()
+			return
+		}
+		sc.s.stats.Responses.Add(int64(n))
+		sc.qmu.Lock()
+		// Keep the buffer for a later write unless a large scan grew it.
+		sc.spare = nil
+		if cap(buf) <= writeBatchBytes {
+			sc.spare = buf[:0]
+		}
+	}
+	sc.flushing = false
+	closing := sc.closing
+	sc.qmu.Unlock()
+	if closing {
+		sc.close()
 	}
 }
 
-// respond queues one response.
-func (sc *srvConn) respond(seq uint64, st Status, body []byte) {
-	sc.trySend(response{seq: seq, st: st, body: body})
+// reply queues a response the reader makes itself: a ping's answer or a
+// drain refusal. The reader never writes to the socket, so if no write is
+// running the queue is flushed off the reader.
+func (sc *srvConn) reply(seq uint64, st Status) {
+	if sc.push(response{seq: seq, st: st}) {
+		sc.s.wg.Add(1)
+		go func() {
+			defer sc.s.wg.Done()
+			sc.flush()
+		}()
+	}
 }
 
-// reader decodes requests and dispatches them under the in-flight window.
-// Frames come through one buffered reader, so a read syscall takes in
-// every frame the client has sent so far; frame.Read still hands each
-// request a freshly allocated payload, which its handler keeps.
+// reader decodes requests and hands them to workers. Frames come through
+// one buffered reader, so a read syscall takes in every frame the client
+// has sent so far; frame.Read still hands each request a freshly
+// allocated payload, which its worker keeps.
 func (sc *srvConn) reader() {
 	defer sc.s.wg.Done()
 	br := bufio.NewReaderSize(sc.c, readBufBytes)
@@ -441,122 +551,91 @@ func (sc *srvConn) reader() {
 		}
 		sc.s.stats.Requests.Inc()
 		if req.Op == opPing {
-			sc.respond(req.Seq, StatusOK, nil)
+			sc.reply(req.Seq, StatusOK)
 			continue
 		}
 		if sc.s.draining.Load() {
 			sc.s.stats.DrainRejects.Inc()
-			sc.respond(req.Seq, StatusDraining, nil)
+			sc.reply(req.Seq, StatusDraining)
 			continue
 		}
-		// Count the request as in flight before waiting for a window slot,
-		// so a drain that starts while we queue still finishes it. The
-		// drain gate refusing here is the race-free version of the flag
-		// check above.
+		// Count the request as in flight before waiting for a worker, so
+		// a drain that starts while we wait still finishes it. The drain
+		// gate refusing here is the race-free version of the flag check
+		// above.
 		if !sc.beginRequest() {
 			sc.s.stats.DrainRejects.Inc()
-			sc.respond(req.Seq, StatusDraining, nil)
+			sc.reply(req.Seq, StatusDraining)
 			continue
 		}
-		select {
-		case sc.sem <- struct{}{}:
-		case <-sc.done:
+		if !sc.dispatch(req) {
 			sc.endRequest()
 			return
 		}
-		sc.s.stats.InFlight.Add(1)
-		sc.s.stats.InFlightPeak.Max(sc.s.stats.InFlight.Value())
-		// Requests own their key/val bytes: frame.Read allocates each
-		// payload afresh, and the handler outlives this loop iteration.
+	}
+}
+
+// dispatch hands req to an idle worker, or starts a worker while fewer
+// than MaxInFlight exist, or else waits for one to come free: the worker
+// count is the in-flight window, and the reader waiting is what pushes
+// backpressure into the client's send path. false means the connection
+// closed first.
+func (sc *srvConn) dispatch(req request) bool {
+	select {
+	case sc.reqs <- req:
+		return true
+	default:
+	}
+	if int(sc.workers.Load()) < sc.s.cfg.MaxInFlight {
+		sc.workers.Add(1)
 		sc.s.wg.Add(1)
-		go sc.handle(req)
+		go sc.worker(req)
+		return true
+	}
+	select {
+	case sc.reqs <- req:
+		return true
+	case <-sc.ctx.Done():
+		return false
 	}
 }
 
-// writeBatchBytes caps one batched response write: the writer stops
-// taking queued responses once its batch holds this much, so a window of
-// large scan responses goes out in several writes rather than pinning
-// megabytes per connection. A single larger response is written alone.
-const writeBatchBytes = 64 << 10
-
-// writer serializes responses with slow-client eviction. It blocks for
-// one response, then takes every response already queued behind it
-// without waiting, and sends the batch with one deadline and one Write:
-// at depth 1 that is one frame and no added latency, under pipelining the
-// responses share the syscall.
-func (sc *srvConn) writer() {
+// worker serves requests until the connection closes: the one it was
+// started with, then each one the reader hands it while it is parked.
+// Requests own their key/val bytes: frame.Read allocates each payload
+// afresh.
+func (sc *srvConn) worker(req request) {
 	defer sc.s.wg.Done()
-	var buf []byte
 	for {
-		var r response
+		sc.handle(req)
 		select {
-		case r = <-sc.out:
-		case <-sc.done:
-			return
-		}
-		batch, n, flush := sc.batch(buf[:0], r)
-		buf = batch
-		if n > 0 {
-			if stall := sc.s.cfg.WriteStallTimeout; stall > 0 {
-				sc.c.SetWriteDeadline(time.Now().Add(stall))
-			}
-			if _, err := sc.c.Write(buf); err != nil {
-				if errors.Is(err, os.ErrDeadlineExceeded) {
-					sc.s.stats.Evicted.Inc()
-				}
-				sc.close()
-				return
-			}
-			sc.s.stats.Responses.Add(int64(n))
-		}
-		if cap(buf) > writeBatchBytes {
-			buf = nil // a large scan's buffer is not kept
-		}
-		if flush {
-			// Everything queued before the sentinel has been written; the
-			// graceful close completes here.
-			sc.close()
+		case req = <-sc.reqs:
+		case <-sc.ctx.Done():
 			return
 		}
 	}
 }
 
-// batch frames r and every response queued behind it into buf, up to the
-// byte cap or the flush sentinel, and returns the batch, the number of
-// frames in it, and whether the sentinel was reached.
-func (sc *srvConn) batch(buf []byte, r response) ([]byte, int, bool) {
-	n := 0
-	for !r.flush {
-		buf = appendResponseFrame(buf, r)
-		n++
-		if len(buf) >= writeBatchBytes {
-			return buf, n, false
-		}
-		select {
-		case r = <-sc.out:
-		default:
-			return buf, n, false
-		}
-	}
-	return buf, n, true
-}
-
-// handle executes one request and queues its response.
+// handle executes one request, queues its response and retires it, then
+// writes the queue if no write was running. Retiring before the write
+// keeps a drain from waiting on a client that has stopped reading.
 func (sc *srvConn) handle(req request) {
-	defer sc.s.wg.Done()
-	defer func() {
-		// Leave the gauge before freeing the slot: the reader takes a
-		// freed slot and counts itself in at once, so the other order
-		// lets InFlight read one past the window.
-		sc.s.stats.InFlight.Add(-1)
-		<-sc.sem
-		sc.endRequest()
-	}()
+	sc.s.stats.InFlight.Add(1)
+	sc.s.stats.InFlightPeak.Max(sc.s.stats.InFlight.Value())
+	flush := sc.push(sc.execute(req))
+	sc.s.stats.InFlight.Add(-1)
+	sc.endRequest()
+	if flush {
+		sc.flush()
+	}
+}
 
+// execute runs one request against the backend and returns its response.
+func (sc *srvConn) execute(req request) response {
 	// The request's priority class rides the context into the engine's
 	// admission limiter: the wire is how remote tenants reach the
 	// brownout ladder.
-	ctx := overload.WithClass(sc.s.ctx, req.Class)
+	ctx := sc.classCtx[req.Class]
 	if req.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, req.Deadline)
@@ -570,8 +649,7 @@ func (sc *srvConn) handle(req request) {
 	case opGet:
 		v, ok, err := sc.s.cfg.Backend.Get(ctx, req.Key)
 		if st, msg = statusOf(err); st == StatusOK {
-			sc.trySend(response{seq: req.Seq, get: true, found: ok, body: v})
-			return
+			return response{seq: req.Seq, get: true, found: ok, body: v}
 		}
 	case opPut, opDelete:
 		st, msg = sc.write(ctx, req)
@@ -595,7 +673,7 @@ func (sc *srvConn) handle(req request) {
 			body = encodeOverloadBody(sc.s.adviser.RetryAfterHint())
 		}
 	}
-	sc.respond(req.Seq, st, body)
+	return response{seq: req.Seq, st: st, body: body}
 }
 
 // write applies a Put/Delete through the dedup window: a retry of an
@@ -623,9 +701,6 @@ func (sc *srvConn) write(ctx context.Context, req request) (Status, string) {
 			continue
 		case <-ctx.Done():
 			st, _ := statusOf(ctx.Err())
-			return st, ""
-		case <-sc.done:
-			st, _ := statusOf(context.Canceled)
 			return st, ""
 		}
 	}

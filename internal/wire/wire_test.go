@@ -550,6 +550,102 @@ func TestPipeliningBackpressure(t *testing.T) {
 	}
 }
 
+// TestWorkersBoundedAndReused pins the per-connection worker set: a
+// pipelined burst starts no more workers than MaxInFlight, and requests
+// sent one at a time reuse a parked worker instead of starting one each.
+func TestWorkersBoundedAndReused(t *testing.T) {
+	t.Run("burst", func(t *testing.T) {
+		const window = 4
+		srv, mb := newTestServer(t, ServerConfig{MaxInFlight: window})
+		mb.getDelay = time.Millisecond
+		mb.data["k"] = []byte("v")
+		cl := pipeServer(t, srv, ClientConfig{Seed: 15, MaxInFlight: 64, AttemptTimeout: 5 * time.Second})
+		var wg sync.WaitGroup
+		errs := make(chan error, 64)
+		for i := 0; i < 64; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, _, err := cl.Get(context.Background(), []byte("k"))
+				errs <- err
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatalf("get: %v", err)
+			}
+		}
+		if w := onlyConn(t, srv).workers.Load(); w < 2 || w > window {
+			t.Fatalf("64 pipelined Gets started %d workers, want 2..%d", w, window)
+		}
+	})
+	t.Run("sequential", func(t *testing.T) {
+		srv, mb := newTestServer(t, ServerConfig{})
+		mb.data["k"] = []byte("v")
+		cl := pipeServer(t, srv, ClientConfig{Seed: 16})
+		for i := 0; i < 32; i++ {
+			if _, _, err := cl.Get(context.Background(), []byte("k")); err != nil {
+				t.Fatalf("get %d: %v", i, err)
+			}
+		}
+		// The worker that wrote the last response may not have parked yet
+		// when the next request arrives, so a second one can start; a
+		// third would need two requests in flight at once.
+		if w := onlyConn(t, srv).workers.Load(); w > 2 {
+			t.Fatalf("32 sequential Gets started %d workers, want at most 2", w)
+		}
+	})
+}
+
+// blockingGets is a backend whose Gets block until their context ends,
+// reporting the context's error.
+type blockingGets struct {
+	*memBackend
+	entered chan struct{}
+	ended   chan error
+}
+
+func (b *blockingGets) Get(ctx context.Context, key []byte) ([]byte, bool, error) {
+	b.entered <- struct{}{}
+	<-ctx.Done()
+	b.ended <- ctx.Err()
+	return nil, false, ctx.Err()
+}
+
+// TestEvictionCancelsInFlightWork evicts a connection while one of its
+// Gets is blocked in the backend: the Get's context is cancelled with the
+// connection, long before the request's own 10 s deadline.
+func TestEvictionCancelsInFlightWork(t *testing.T) {
+	bg := &blockingGets{memBackend: newMemBackend(), entered: make(chan struct{}, 1), ended: make(chan error, 1)}
+	srv, _ := newTestServer(t, ServerConfig{Backend: bg, WriteStallTimeout: 30 * time.Millisecond})
+	a, b := net.Pipe()
+	defer a.Close()
+	srv.ServeConn(b)
+
+	if err := frame.Write(a, encodeRequest(nil, request{Op: opGet, Seq: 1, Deadline: 10 * time.Second, Key: []byte("k")})); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	<-bg.entered
+	// A ping whose response is never read: net.Pipe is unbuffered, so its
+	// write stalls and the connection is evicted.
+	if err := frame.Write(a, encodeRequest(nil, request{Op: opPing, Seq: 2})); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	select {
+	case err := <-bg.ended:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("blocked Get ended with %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("blocked Get still running 5 s after its connection stalled: %v", srv.Stats())
+	}
+	if e := srv.Stats().Evicted.Value(); e != 1 {
+		t.Fatalf("evicted = %d, want 1", e)
+	}
+}
+
 // TestNoGoroutineLeaks closes everything and requires the goroutine count
 // to return to baseline — the drain/close machinery leaks nothing.
 func TestNoGoroutineLeaks(t *testing.T) {

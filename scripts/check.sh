@@ -6,53 +6,10 @@
 # the seeded chaos/crash matrices run their -short subset of seeds (in both
 # the plain and the race-enabled pass).
 #
-# Set CHECK_SCRUB=1 for the long scrub-soak pass: a mirrored device under
-# sustained traffic with latent bit flips, verifying the background
-# scrubber's token-bucket I/O budget and repair convergence over several
-# wall-clock seconds (skipped otherwise).
-#
-# Set CHECK_FAILOVER=1 for the full 100-seed warm-standby failover soak
-# under the race detector: lossy/partitioned ship links, mid-ship primary
-# crashes, forced promotions, and PITR verification against the acked-state
-# oracle, with a hard watchdog timeout so a wedged drain fails the run
-# instead of hanging it.
-#
-# Set CHECK_SHARD=1 for the full 100-seed shard-migration soak under the
-# race detector: a live shard migration per seed with concurrent writers
-# on the moving shard, a lossy and periodically partitioned migration
-# link, and an injected crash at every phase boundary of the cutover
-# state machine, asserting zero lost acked writes, exactly-once
-# application against an acked-state oracle, and fenced stale owners —
-# with a hard watchdog timeout.
-#
-# Set CHECK_RESIZE=1 for the full 100-seed elastic-resize soak under the
-# race detector: every seed splits a shard and merges the children back
-# while concurrent writers hit the resizing range over a lossy,
-# periodically partitioned stream link, with an injected crash at every
-# phase boundary of the split and merge cutovers, asserting zero
-# lost acked writes, a byte-identical final state against the acked-state
-# oracle, fenced stale owners (split source and both merge sources), and
-# bounded key movement (a hash moves owner iff it lies in the split
-# range) — with a hard watchdog timeout.
-#
-# Set CHECK_WIRE=1 for the full 50-seed network chaos sweep under the race
-# detector: wire clients and server over real connections through
-# fault.Conn (drops, dups, reorders, half-closes, stalls, a mid-run
-# partition-driven retry storm), asserting exactly-once retried writes,
-# zero lost acked writes, bounded retry amplification, graceful drain, and
-# no leaked goroutines — again with a hard watchdog.
-#
-# Set CHECK_OVERLOAD=1 for the full 50-seed metastable-failure chaos
-# sweep under the race detector: a capacity-limited store behind the
-# engine's adaptive concurrency limiter and the wire server, hit with a
-# flash-crowd storm (6x the steady client fleet plus a request-path
-# partition blip). Each seed asserts the adaptive stack re-converges to
-# >=90% of pre-storm goodput the moment the storm stops, keeps the
-# high-priority class served through the storm (brownout ladder sheds
-# scans and low first), loses zero acked writes, and actually delivered
-# retry-after hints to clients — then reruns the identical harness with
-# the limiter disabled and requires it to demonstrably fail to
-# re-converge in the same window, proving the mechanism and not the test.
+# The soak gates (CHECK_SCRUB, CHECK_FAILOVER, CHECK_SHARD, CHECK_RESIZE,
+# CHECK_WIRE, CHECK_OVERLOAD) are documented and run by scripts/soak.sh,
+# which this pass calls last: set a gate's variable and it runs after the
+# default pass, or run soak.sh alone to skip the default pass.
 #
 # Set CHECK_MATRIX=1 for the perf-trajectory gate: run the full scenario
 # matrix (kvbench -matrix all) at a CI-sized workload, then hold benchdiff
@@ -81,7 +38,8 @@ go test -run '^$' -bench 'RoundTrip' -benchtime 1x ./internal/wire
 go test -run '^$' -bench EngineGet -benchtime 1x ./internal/obs
 # A bounded fuzz run of the recovery log's two decoders (the commit-record
 # codec and logstore's one frame decoder and walker), of the repl ship
-# link's frame and ack decoders, and of the Bw-tree's three page decoders.
+# link's frame and ack decoders, of the Bw-tree's three page decoders, and
+# of the LSM manifest decoder.
 go test -run '^$' -fuzz '^FuzzDecodeCommit$' -fuzztime 10s ./internal/tc
 go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s ./internal/llama/logstore
 go test -run '^$' -fuzz '^FuzzDecodeShipFrame$' -fuzztime 10s ./internal/repl
@@ -89,33 +47,13 @@ go test -run '^$' -fuzz '^FuzzDecodeAck$' -fuzztime 10s ./internal/repl
 for target in FuzzDecodeLeafBase FuzzDecodeIndexBase FuzzDecodeDeltaBatch; do
     go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/bwtree
 done
+go test -run '^$' -fuzz '^FuzzDecodeManifest$' -fuzztime 10s ./internal/lsm
 # Every example program runs once, so a constructor change that breaks
 # one at run time fails the pass.
 for ex in examples/*/; do
     go run "./$ex" >/dev/null
 done
 go test $SHORT -race ./...
-# The soak gates, one row each: gate variable, race detector (on/off),
-# timeout, -run regex, comma-separated packages, full-sweep flag (- for
-# none). A gate runs when its variable is set, with the variable set to 1
-# in the test's environment.
-while read -r gate race timeout run pkgs full; do
-    eval "on=\${$gate:-}"
-    if [ -z "$on" ]; then
-        continue
-    fi
-    if [ "$race" = on ]; then race=-race; else race=; fi
-    if [ "$full" = - ]; then full=; fi
-    env "$gate=1" go test $race -run "$run" -count=1 -timeout "$timeout" \
-        $(echo "$pkgs" | tr , ' ') $full </dev/null
-done <<'EOF'
-CHECK_SCRUB     off  10m  TestScrubSoakLong|TestMirror  ./internal/ssd,./internal/integration  -
-CHECK_FAILOVER  on   15m  TestFailoverChaosSweep        ./internal/integration  -full
-CHECK_SHARD     on   15m  TestShardMigrationChaosSweep  ./internal/integration  -full
-CHECK_RESIZE    on   15m  TestShardResizeChaosSweep     ./internal/integration  -full
-CHECK_WIRE      on   15m  TestWireChaosSweep            ./internal/integration  -full
-CHECK_OVERLOAD  on   20m  TestOverloadChaosSweep        ./internal/integration  -full
-EOF
 if [ -n "${CHECK_MATRIX:-}" ]; then
     go build -o /tmp/kvbench ./cmd/kvbench
     go build -o /tmp/benchdiff ./cmd/benchdiff
@@ -133,3 +71,4 @@ if [ -n "${CHECK_MATRIX:-}" ]; then
     # (-report-only), but every committed scenario cell must still exist.
     /tmp/benchdiff -report-only BENCH_matrix.json /tmp/BENCH_matrix.ci.json
 fi
+sh scripts/soak.sh
