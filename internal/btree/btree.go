@@ -98,7 +98,6 @@ func (p *page) serializedBytes() int {
 type Stats struct {
 	Splits     metrics.Counter
 	PoolMisses metrics.Counter
-	WriteBacks metrics.Counter
 	// Health latches degraded (read-only) when the backing device reports
 	// unrecoverable corruption (an ssd.Mirror quarantining a page).
 	Health metrics.Health
@@ -113,9 +112,9 @@ type Config struct {
 	PoolPages int
 	// Session enables execution-cost accounting (may be nil).
 	Session *sim.Session
-	// Obs, when non-nil, receives one tracing span per operation; pool
-	// misses and eviction write-backs mark the span as having touched
-	// the device. Nil traces nothing at zero cost.
+	// Obs, when non-nil, receives one tracing span per operation, a miss
+	// when the operation reached the device: a pool-miss read or an
+	// eviction write-back on its charger. Nil traces nothing at zero cost.
 	Obs *obs.Tracer
 }
 
@@ -229,34 +228,27 @@ func (t *Tree) writeBackLocked(p *page, ch *sim.Charger) error {
 		return err
 	}
 	p.dirty = false
-	t.stats.WriteBacks.Inc()
 	return nil
 }
 
 // Get returns the value for key.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	return t.get(key, t.cfg.Session.Begin())
+	return t.GetCtx(context.TODO(), key)
 }
 
 // GetCtx is Get bounded by ctx: pool-miss page reads abort promptly once
 // ctx is cancelled or past deadline.
-func (t *Tree) GetCtx(ctx context.Context, key []byte) ([]byte, bool, error) {
-	return t.get(key, t.cfg.Session.Begin().WithContext(ctx))
-}
-
-func (t *Tree) get(key []byte, ch *sim.Charger) (_ []byte, _ bool, err error) {
-	sp := t.cfg.Obs.Start(obs.OpGet)
+func (t *Tree) GetCtx(ctx context.Context, key []byte) (_ []byte, _ bool, err error) {
+	sp := t.cfg.Obs.Begin(obs.OpGet, t.cfg.Session, ctx)
+	defer func() { sp.End(err) }()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	m0, wb0 := t.stats.PoolMisses.Value(), t.stats.WriteBacks.Value()
-	defer func() { t.endOpLocked(&sp, m0, wb0, err) }()
 	if t.closed {
-		ch.Abandon()
 		return nil, false, ErrClosed
 	}
+	ch := sp.IO() // the descent may fetch a page from the device
 	p, err := t.descend(key, ch)
 	if err != nil {
-		ch.Abandon()
 		return nil, false, err
 	}
 	i := sort.Search(len(p.keys), func(i int) bool { return bytes.Compare(p.keys[i], key) >= 0 })
@@ -264,22 +256,9 @@ func (t *Tree) get(key []byte, ch *sim.Charger) (_ []byte, _ bool, err error) {
 	if i < len(p.keys) && bytes.Equal(p.keys[i], key) {
 		v := p.vals[i]
 		ch.Copy(len(v))
-		ch.Settle()
 		return v, true, nil
 	}
-	ch.Settle()
 	return nil, false, nil
-}
-
-// endOpLocked finishes an operation span, marking it a miss when the
-// operation performed device I/O (pool-miss reads or eviction
-// write-backs) since the recorded baselines. Caller holds t.mu, so the
-// counter deltas are exactly this operation's.
-func (t *Tree) endOpLocked(sp *obs.Span, m0, wb0 int64, err error) {
-	if t.stats.PoolMisses.Value() != m0 || t.stats.WriteBacks.Value() != wb0 {
-		sp.Miss()
-	}
-	sp.End(err)
 }
 
 // descend walks to the leaf owning key.
@@ -301,34 +280,26 @@ func (t *Tree) descend(key []byte, ch *sim.Charger) (*page, error) {
 
 // Insert upserts key -> val.
 func (t *Tree) Insert(key, val []byte) error {
-	return t.insert(key, val, t.cfg.Session.Begin())
+	return t.InsertCtx(context.TODO(), key, val)
 }
 
 // InsertCtx is Insert bounded by ctx.
-func (t *Tree) InsertCtx(ctx context.Context, key, val []byte) error {
-	return t.insert(key, val, t.cfg.Session.Begin().WithContext(ctx))
-}
-
-func (t *Tree) insert(key, val []byte, ch *sim.Charger) (err error) {
-	sp := t.cfg.Obs.Start(obs.OpPut)
+func (t *Tree) InsertCtx(ctx context.Context, key, val []byte) (err error) {
+	sp := t.cfg.Obs.Begin(obs.OpPut, t.cfg.Session, ctx)
+	defer func() { sp.End(err) }()
 	if len(key)+len(val)+24 > PageSize/2 {
-		ch.Abandon()
-		sp.End(ErrTooLarge)
 		return ErrTooLarge
 	}
 	key = append([]byte(nil), key...)
 	val = append([]byte(nil), val...)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	m0, wb0 := t.stats.PoolMisses.Value(), t.stats.WriteBacks.Value()
-	defer func() { t.endOpLocked(&sp, m0, wb0, err) }()
 	if t.closed {
-		ch.Abandon()
 		return ErrClosed
 	}
+	ch := sp.IO() // the descent may fetch a page and write back an evicted one
 	sep, right, err := t.insertRec(t.root, key, val, ch)
 	if err != nil {
-		ch.Abandon()
 		return err
 	}
 	if right != nilPage {
@@ -340,7 +311,6 @@ func (t *Tree) insert(key, val []byte, ch *sim.Charger) (err error) {
 		t.root = nr.id
 	}
 	ch.Copy(len(key) + len(val))
-	ch.Settle()
 	return nil
 }
 
@@ -422,27 +392,20 @@ func (t *Tree) maybeSplitLocked(p *page) ([]byte, pageID, error) {
 // Delete removes key (idempotent). Pages are not merged (classic lazy
 // deletion).
 func (t *Tree) Delete(key []byte) error {
-	return t.delete(key, t.cfg.Session.Begin())
+	return t.DeleteCtx(context.TODO(), key)
 }
 
 // DeleteCtx is Delete bounded by ctx.
-func (t *Tree) DeleteCtx(ctx context.Context, key []byte) error {
-	return t.delete(key, t.cfg.Session.Begin().WithContext(ctx))
-}
-
-func (t *Tree) delete(key []byte, ch *sim.Charger) (err error) {
-	sp := t.cfg.Obs.Start(obs.OpDelete)
+func (t *Tree) DeleteCtx(ctx context.Context, key []byte) (err error) {
+	sp := t.cfg.Obs.Begin(obs.OpDelete, t.cfg.Session, ctx)
+	defer func() { sp.End(err) }()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	m0, wb0 := t.stats.PoolMisses.Value(), t.stats.WriteBacks.Value()
-	defer func() { t.endOpLocked(&sp, m0, wb0, err) }()
 	if t.closed {
-		ch.Abandon()
 		return ErrClosed
 	}
-	p, err := t.descend(key, ch)
+	p, err := t.descend(key, sp.IO())
 	if err != nil {
-		ch.Abandon()
 		return err
 	}
 	i := sort.Search(len(p.keys), func(i int) bool { return bytes.Compare(p.keys[i], key) >= 0 })
@@ -451,34 +414,27 @@ func (t *Tree) delete(key []byte, ch *sim.Charger) (err error) {
 		p.vals = append(p.vals[:i], p.vals[i+1:]...)
 		p.dirty = true
 	}
-	ch.Settle()
 	return nil
 }
 
 // Scan visits keys >= start in order via the leaf sibling chain.
 func (t *Tree) Scan(start []byte, limit int, fn func(k, v []byte) bool) error {
-	return t.scan(start, limit, fn, t.cfg.Session.Begin())
+	return t.ScanCtx(context.TODO(), start, limit, fn)
 }
 
 // ScanCtx is Scan bounded by ctx: the context is checked at every sibling
 // hop, so a cancelled scan stops fetching pages.
-func (t *Tree) ScanCtx(ctx context.Context, start []byte, limit int, fn func(k, v []byte) bool) error {
-	return t.scan(start, limit, fn, t.cfg.Session.Begin().WithContext(ctx))
-}
-
-func (t *Tree) scan(start []byte, limit int, fn func(k, v []byte) bool, ch *sim.Charger) (err error) {
-	sp := t.cfg.Obs.Start(obs.OpScan)
+func (t *Tree) ScanCtx(ctx context.Context, start []byte, limit int, fn func(k, v []byte) bool) (err error) {
+	sp := t.cfg.Obs.Begin(obs.OpScan, t.cfg.Session, ctx)
+	defer func() { sp.End(err) }()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	m0, wb0 := t.stats.PoolMisses.Value(), t.stats.WriteBacks.Value()
-	defer func() { t.endOpLocked(&sp, m0, wb0, err) }()
 	if t.closed {
-		ch.Abandon()
 		return ErrClosed
 	}
+	ch := sp.IO()
 	p, err := t.descend(start, ch)
 	if err != nil {
-		ch.Abandon()
 		return err
 	}
 	visited := 0
@@ -486,26 +442,21 @@ func (t *Tree) scan(start []byte, limit int, fn func(k, v []byte) bool, ch *sim.
 	for {
 		for ; i < len(p.keys); i++ {
 			if limit > 0 && visited >= limit {
-				ch.Settle()
 				return nil
 			}
 			if !fn(p.keys[i], p.vals[i]) {
-				ch.Settle()
 				return nil
 			}
 			visited++
 		}
 		if p.next == nilPage || (limit > 0 && visited >= limit) {
-			ch.Settle()
 			return nil
 		}
 		if err := ch.Err(); err != nil {
-			ch.Abandon()
 			return err
 		}
 		p, err = t.fetch(p.next, ch)
 		if err != nil {
-			ch.Abandon()
 			return err
 		}
 		i = 0

@@ -17,23 +17,18 @@ import (
 // page is a consistent snapshot (delta chain applied); across pages the
 // scan is weakly consistent, like Bw-tree scans generally.
 func (t *Tree) Scan(start []byte, limit int, fn func(key, val []byte) bool) error {
-	return t.scan(start, limit, fn, t.cfg.Session.Begin())
+	return t.ScanCtx(context.TODO(), start, limit, fn)
 }
 
 // ScanCtx is Scan bounded by ctx: the context is checked between pages, so
 // a cancelled long scan stops loading evicted pages promptly.
-func (t *Tree) ScanCtx(ctx context.Context, start []byte, limit int, fn func(key, val []byte) bool) error {
-	return t.scan(start, limit, fn, t.cfg.Session.Begin().WithContext(ctx))
-}
-
-func (t *Tree) scan(start []byte, limit int, fn func(key, val []byte) bool, ch *sim.Charger) (err error) {
-	sp := t.cfg.Obs.Start(obs.OpScan)
+func (t *Tree) ScanCtx(ctx context.Context, start []byte, limit int, fn func(key, val []byte) bool) (err error) {
+	sp := t.cfg.Obs.Begin(obs.OpScan, t.cfg.Session, ctx)
 	defer func() { sp.End(err) }()
 	if t.closed.Load() {
-		ch.Abandon()
 		return ErrClosed
 	}
-	defer ch.Settle()
+	ch := sp.IO() // any page on the way may have to be loaded
 
 	visited := 0
 	cur := start
@@ -45,11 +40,7 @@ func (t *Tree) scan(start []byte, limit int, fn func(key, val []byte) bool, ch *
 		if err != nil {
 			return err
 		}
-		loads0 := t.stats.PageLoads.Value()
 		keys, vals, highKey, err := t.pageView(leaf, hdr, ch)
-		if t.stats.PageLoads.Value() != loads0 {
-			sp.Miss() // an evicted page was loaded from the log store
-		}
 		if err != nil {
 			return err
 		}

@@ -38,9 +38,9 @@ type Config struct {
 	// ConsolidateAfter is the delta-chain length that triggers
 	// consolidation. Default 8.
 	ConsolidateAfter int
-	// Obs, when non-nil, receives one tracing span per public operation
-	// (page-load misses marked; see internal/obs). Nil traces nothing at
-	// zero cost.
+	// Obs, when non-nil, receives one tracing span per public operation,
+	// a miss when the operation read the device (see internal/obs). Nil
+	// traces nothing at zero cost.
 	Obs *obs.Tracer
 }
 
@@ -228,32 +228,24 @@ func (t *Tree) chainSearch(hdr *pageHeader, key []byte, ch *sim.Charger) ([]byte
 
 // Get returns the value for key.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	return t.get(key, t.cfg.Session.Begin())
+	return t.GetCtx(context.TODO(), key)
 }
 
 // GetCtx is Get bounded by ctx: page loads from the log store (and their
 // retry backoffs) abort promptly once ctx is cancelled or past deadline.
-func (t *Tree) GetCtx(ctx context.Context, key []byte) ([]byte, bool, error) {
-	return t.get(key, t.cfg.Session.Begin().WithContext(ctx))
-}
-
-func (t *Tree) get(key []byte, ch *sim.Charger) ([]byte, bool, error) {
-	sp := t.cfg.Obs.Start(obs.OpGet)
+func (t *Tree) GetCtx(ctx context.Context, key []byte) (_ []byte, _ bool, err error) {
+	sp := t.cfg.Obs.Begin(obs.OpGet, t.cfg.Session, ctx)
+	defer func() { sp.End(err) }()
 	if t.closed.Load() {
-		ch.Abandon()
-		sp.End(ErrClosed)
 		return nil, false, ErrClosed
 	}
+	ch := sp.Charger()
 	for {
 		if err := ch.Err(); err != nil {
-			ch.Abandon()
-			sp.End(err)
 			return nil, false, err
 		}
 		leaf, hdr, _, err := t.descend(key, ch)
 		if err != nil {
-			ch.Abandon()
-			sp.End(err)
 			return nil, false, err
 		}
 		t.touch(leaf, hdr)
@@ -262,23 +254,17 @@ func (t *Tree) get(key []byte, ch *sim.Charger) ([]byte, bool, error) {
 			if found {
 				ch.Copy(len(val))
 			}
-			ch.Settle()
-			sp.End(nil)
 			return val, found, nil
 		}
 		var nl *needLoad
-		if errors.As(serr, &nl) {
-			sp.Miss() // the delta chain bottomed out in a flushed page
-			if err := t.loadPage(leaf, nl.ref, ch); err != nil {
-				ch.Abandon()
-				sp.End(err)
-				return nil, false, err
-			}
-			continue // retry with the loaded page
+		if !errors.As(serr, &nl) {
+			return nil, false, serr
 		}
-		ch.Abandon()
-		sp.End(serr)
-		return nil, false, serr
+		// The delta chain bottomed out in a flushed page.
+		ch = sp.IO()
+		if err := t.loadPage(leaf, nl.ref, ch); err != nil {
+			return nil, false, err
+		}
 	}
 }
 

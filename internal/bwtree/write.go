@@ -5,40 +5,39 @@ import (
 	"errors"
 
 	"costperf/internal/obs"
-	"costperf/internal/sim"
 )
 
 // Insert upserts key -> val by prepending an insert delta to the owning
 // leaf's chain with a single CAS — the Bw-tree's latch-free update.
 func (t *Tree) Insert(key, val []byte) error {
-	return t.write(key, val, false, false, t.cfg.Session.Begin())
+	return t.write(context.TODO(), key, val, false, false)
 }
 
 // InsertCtx is Insert bounded by ctx.
 func (t *Tree) InsertCtx(ctx context.Context, key, val []byte) error {
-	return t.write(key, val, false, false, t.cfg.Session.Begin().WithContext(ctx))
+	return t.write(ctx, key, val, false, false)
 }
 
 // Delete removes key (idempotent: deleting an absent key succeeds).
 func (t *Tree) Delete(key []byte) error {
-	return t.write(key, nil, true, false, t.cfg.Session.Begin())
+	return t.write(context.TODO(), key, nil, true, false)
 }
 
 // DeleteCtx is Delete bounded by ctx.
 func (t *Tree) DeleteCtx(ctx context.Context, key []byte) error {
-	return t.write(key, nil, true, false, t.cfg.Session.Begin().WithContext(ctx))
+	return t.write(ctx, key, nil, true, false)
 }
 
 // BlindWrite upserts key -> val without requiring the leaf's base page to
 // be in main memory (paper Section 6.2): if the base is evicted, the delta
 // is prepended above the diskRef and no read I/O occurs.
 func (t *Tree) BlindWrite(key, val []byte) error {
-	return t.write(key, val, false, true, t.cfg.Session.Begin())
+	return t.write(context.TODO(), key, val, false, true)
 }
 
 // BlindWriteCtx is BlindWrite bounded by ctx.
 func (t *Tree) BlindWriteCtx(ctx context.Context, key, val []byte) error {
-	return t.write(key, val, false, true, t.cfg.Session.Begin().WithContext(ctx))
+	return t.write(ctx, key, val, false, true)
 }
 
 func cloneBytes(b []byte) []byte {
@@ -50,31 +49,28 @@ func cloneBytes(b []byte) []byte {
 	return out
 }
 
-func (t *Tree) write(key, val []byte, isDelete, blind bool, ch *sim.Charger) (err error) {
+func (t *Tree) write(ctx context.Context, key, val []byte, isDelete, blind bool) (err error) {
 	op := obs.OpPut
 	if isDelete {
 		op = obs.OpDelete
 	}
-	sp := t.cfg.Obs.Start(op)
+	sp := t.cfg.Obs.Begin(op, t.cfg.Session, ctx)
 	defer func() { sp.End(err) }()
 	if t.closed.Load() {
-		ch.Abandon()
 		return ErrClosed
 	}
+	ch := sp.Charger()
 	key = cloneBytes(key)
 	val = cloneBytes(val)
 	for attempt := 0; ; attempt++ {
 		if attempt > 1<<16 {
-			ch.Abandon()
 			return errors.New("bwtree: write live-locked")
 		}
 		if err := ch.Err(); err != nil {
-			ch.Abandon() // cancelled before the delta was installed
-			return err
+			return err // cancelled before the delta was installed
 		}
 		leaf, hdr, parent, err := t.descend(key, ch)
 		if err != nil {
-			ch.Abandon()
 			return err
 		}
 		// A non-blind write of a fully evicted page is still prepended as a
@@ -99,7 +95,6 @@ func (t *Tree) write(key, val []byte, isDelete, blind bool, ch *sim.Charger) (er
 		if !t.install(leaf, hdr, &nh) {
 			continue // chain changed under us; retry
 		}
-		ch.Settle()
 		// Maintenance outside the charged operation: consolidate long
 		// chains (and split oversized pages). Blind writes skip
 		// consolidation when the base is not resident — that is the whole

@@ -219,7 +219,7 @@ func New(cfg Config) (*Engine, error) {
 		Window:   cfg.LimitWindow,
 	})
 	e.stats.LimiterStats = e.lim.Stats()
-	cfg.Obs.FoldLimiter(e.lim.Stats())
+	cfg.Obs.SetLimiter(e.lim.Stats())
 	return e, nil
 }
 

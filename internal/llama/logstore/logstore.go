@@ -107,10 +107,10 @@ type Config struct {
 	// SegmentBytes is the GC granularity. Must be a multiple of
 	// BufferBytes. Default 4 MiB.
 	SegmentBytes int64
-	// Obs, when non-nil, receives one tracing span per append/read/flush;
-	// reads served by the device (not the write buffer) and appends that
-	// trigger a synchronous flush are marked as misses. Nil traces
-	// nothing at zero cost.
+	// Obs, when non-nil, receives one tracing span per append/read/flush,
+	// a miss when it reached the device: a read past the write buffer, or
+	// a flush. An append that pays for a flush is not, since the flush
+	// writes on no operation's charger. Nil traces nothing at zero cost.
 	Obs *obs.Tracer
 }
 
@@ -252,7 +252,7 @@ func encodeHeader(dst []byte, kind Kind, pid uint64, payload []byte) {
 // becomes durable at the next buffer flush; it is readable immediately.
 // A nil charger skips CPU accounting.
 func (s *Store) Append(pid uint64, kind Kind, payload []byte, ch *sim.Charger) (_ Address, err error) {
-	sp := s.cfg.Obs.Start(obs.OpPut)
+	sp := s.cfg.Obs.Nest(obs.OpPut, ch)
 	defer func() { sp.End(err) }()
 	switch kind {
 	case KindBase, KindDelta, KindCommit:
@@ -279,7 +279,6 @@ func (s *Store) Append(pid uint64, kind Kind, payload []byte, ch *sim.Charger) (
 	off := s.bufStart + int64(len(s.buf))
 	segEnd := (s.segIndex(off) + 1) * s.cfg.SegmentBytes
 	if off+recLen > segEnd {
-		sp.Miss() // segment padding may flush the buffer to the device
 		if err := s.padToLocked(segEnd, ch); err != nil {
 			return Address{}, err
 		}
@@ -287,7 +286,6 @@ func (s *Store) Append(pid uint64, kind Kind, payload []byte, ch *sim.Charger) (
 	}
 	// Flush if the buffer cannot hold the record.
 	if int64(len(s.buf))+recLen > int64(s.cfg.BufferBytes) {
-		sp.Miss() // this append pays for the synchronous buffer flush
 		if err := s.flushLocked(ch); err != nil {
 			return Address{}, err
 		}
@@ -346,17 +344,17 @@ func (s *Store) flushLocked(ch *sim.Charger) (err error) {
 		return nil
 	}
 	sp := s.cfg.Obs.Start(obs.OpFlush)
-	sp.Miss() // a flush is by definition a device write
 	defer func() { sp.End(err) }()
 	if s.stats.Health.Degraded() {
 		return ErrDegraded
 	}
 	// A retried flush rewrites the whole buffer at the same offset, so a
 	// torn first attempt is simply overwritten. The flush cost stays
-	// charged to the device (nil-charger policy); only the caller's
-	// cancellation is carried down via a detached charger. An aborted
-	// flush is not a store failure: the buffer survives for the next try.
-	dch := sim.DetachedCharger(ch.Context())
+	// charged to the device (nil-charger policy): the write goes out on the
+	// flush span's own charger, which carries only the caller's
+	// cancellation. An aborted flush is not a store failure: the buffer
+	// survives for the next try.
+	dch := sp.IO().WithContext(ch.Context())
 	err = fault.DefaultRetry().DoCtx(ch.Context(), &s.stats.Retry, func() error {
 		return s.cfg.Device.WriteAt(s.bufStart, s.buf, dch)
 	})
@@ -376,7 +374,7 @@ func (s *Store) flushLocked(ch *sim.Charger) (err error) {
 // served from memory without I/O (and without escalating the operation to
 // SS class).
 func (s *Store) Read(addr Address, ch *sim.Charger) (_ Record, err error) {
-	sp := s.cfg.Obs.Start(obs.OpGet)
+	sp := s.cfg.Obs.Nest(obs.OpGet, ch)
 	defer func() { sp.End(err) }()
 	if addr.IsNil() || addr.Len < 0 {
 		return Record{}, ErrBadAddress
@@ -408,7 +406,8 @@ func (s *Store) Read(addr Address, ch *sim.Charger) (_ Record, err error) {
 	}
 	s.mu.Unlock()
 
-	sp.Miss() // past the buffered tail: served by the device
+	// Past the buffered tail: served by the device.
+	ch = sp.IO()
 	raw, err := s.cfg.Device.ReadAt(off, total, ch)
 	if err != nil {
 		return Record{}, err

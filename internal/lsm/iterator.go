@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"sort"
 
-	"costperf/internal/obs"
 	"costperf/internal/sim"
 )
 
@@ -44,7 +43,6 @@ func (c *memCursor) next() { c.e = c.e.next[0] }
 type tableCursor struct {
 	t  *Tree
 	ch *sim.Charger // pays for the reads and carries the op's context
-	sp *obs.Span    // marked as a miss on every fetch; may be nil
 
 	tables []*sstable // tables[0] is the current one
 	i      int        // record under the cursor in tables[0]
@@ -55,11 +53,11 @@ type tableCursor struct {
 
 // newTableCursor returns a cursor over tables, a run sorted by key range,
 // positioned on its first key >= start.
-func (t *Tree) newTableCursor(tables []*sstable, start []byte, ahead int, ch *sim.Charger, sp *obs.Span) *tableCursor {
+func (t *Tree) newTableCursor(tables []*sstable, start []byte, ahead int, ch *sim.Charger) *tableCursor {
 	first := sort.Search(len(tables), func(i int) bool {
 		return bytes.Compare(tables[i].max, start) >= 0
 	})
-	c := &tableCursor{t: t, ch: ch, sp: sp, tables: tables[first:], ahead: ahead}
+	c := &tableCursor{t: t, ch: ch, tables: tables[first:], ahead: ahead}
 	if len(c.tables) > 0 {
 		c.i = c.tables[0].search(start)
 	}
@@ -87,9 +85,6 @@ func (c *tableCursor) entry() (kv, error) {
 		hi := tbl.entries()
 		if c.ahead > 0 && c.ahead < hi-c.i { // a limit may be near MaxInt
 			hi = c.i + c.ahead
-		}
-		if c.sp != nil {
-			c.sp.Miss()
 		}
 		buf, err := c.t.readRecords(tbl, c.i, hi, c.ch)
 		if err != nil {

@@ -49,7 +49,7 @@ func TestMergeIterNewestWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	cursors := func() (cursor, cursor) {
-		return tr.newTableCursor([]*sstable{nt}, nil, 0, nil, nil), tr.newTableCursor([]*sstable{ot}, nil, 0, nil, nil)
+		return tr.newTableCursor([]*sstable{nt}, nil, 0, nil), tr.newTableCursor([]*sstable{ot}, nil, 0, nil)
 	}
 	n, o := cursors()
 	out := drain(t, &mergeIter{}, n, o)

@@ -39,9 +39,10 @@ type Config struct {
 	LevelBytesBase int64
 	// Session enables execution-cost accounting (may be nil).
 	Session *sim.Session
-	// Obs, when non-nil, receives one tracing span per operation; table
-	// reads and synchronous flushes mark the span as having touched the
-	// device. Nil traces nothing at zero cost.
+	// Obs, when non-nil, receives one tracing span per operation, a miss
+	// when the operation read a table record from the device. Flushes and
+	// compactions write on no operation's charger, so a write that pays
+	// for one is not a miss. Nil traces nothing at zero cost.
 	Obs *obs.Tracer
 }
 
@@ -124,53 +125,51 @@ func (t *Tree) Stats() *Stats { return &t.stats }
 // Put inserts or overwrites key -> val. Like all LSM updates it is blind:
 // no secondary storage is read (paper Section 6.2).
 func (t *Tree) Put(key, val []byte) error {
-	return t.write(append([]byte(nil), key...), append([]byte(nil), val...), false, t.cfg.Session.Begin())
+	return t.write(context.TODO(), append([]byte(nil), key...), append([]byte(nil), val...), false)
 }
 
 // PutCtx is Put bounded by ctx: a triggered memtable flush (and its retry
 // backoff) aborts promptly when ctx is cancelled.
 func (t *Tree) PutCtx(ctx context.Context, key, val []byte) error {
-	return t.write(append([]byte(nil), key...), append([]byte(nil), val...), false, t.cfg.Session.Begin().WithContext(ctx))
+	return t.write(ctx, append([]byte(nil), key...), append([]byte(nil), val...), false)
 }
 
 // Delete removes key by writing a tombstone (also blind).
 func (t *Tree) Delete(key []byte) error {
-	return t.write(append([]byte(nil), key...), nil, true, t.cfg.Session.Begin())
+	return t.write(context.TODO(), append([]byte(nil), key...), nil, true)
 }
 
 // DeleteCtx is Delete bounded by ctx.
 func (t *Tree) DeleteCtx(ctx context.Context, key []byte) error {
-	return t.write(append([]byte(nil), key...), nil, true, t.cfg.Session.Begin().WithContext(ctx))
+	return t.write(ctx, append([]byte(nil), key...), nil, true)
 }
 
-func (t *Tree) write(key, val []byte, tombstone bool, ch *sim.Charger) error {
+func (t *Tree) write(ctx context.Context, key, val []byte, tombstone bool) (err error) {
 	op := obs.OpPut
 	if tombstone {
 		op = obs.OpDelete
 	}
-	sp := t.cfg.Obs.Start(op)
+	sp := t.cfg.Obs.Begin(op, t.cfg.Session, ctx)
+	defer func() { sp.End(err) }()
 	if t.stats.Health.Degraded() {
-		sp.End(ErrDegraded)
 		return ErrDegraded
 	}
+	ch := sp.Charger()
 	if err := ch.Err(); err != nil {
-		sp.End(err)
 		return err // cancelled before the memtable was touched
 	}
 	t.mu.Lock()
 	t.mem.put(key, val, tombstone, ch)
 	ch.Copy(len(key) + len(val))
-	var err error
 	if t.mem.bytes >= t.cfg.MemtableBytes {
-		sp.Miss() // this write pays for the synchronous flush I/O
+		// The flush and compactions charge ch only for their merge
+		// comparisons: their I/O is on no operation's charger.
 		err = t.flushLocked(ch)
 	}
 	t.mu.Unlock()
 	if !tombstone {
 		t.stats.Puts.Inc()
 	}
-	ch.Settle()
-	sp.End(err)
 	return err
 }
 
@@ -280,34 +279,30 @@ func (t *Tree) Flush() error {
 // Get returns the value for key, searching memtable, then L0 newest-first,
 // then one candidate table per deeper level.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	return t.get(key, t.cfg.Session.Begin())
+	return t.GetCtx(context.TODO(), key)
 }
 
 // GetCtx is Get bounded by ctx: table reads and their retry backoffs abort
 // promptly once ctx is cancelled or past deadline.
-func (t *Tree) GetCtx(ctx context.Context, key []byte) ([]byte, bool, error) {
-	return t.get(key, t.cfg.Session.Begin().WithContext(ctx))
-}
-
-func (t *Tree) get(key []byte, ch *sim.Charger) (_ []byte, _ bool, err error) {
-	sp := t.cfg.Obs.Start(obs.OpGet)
+func (t *Tree) GetCtx(ctx context.Context, key []byte) (_ []byte, _ bool, err error) {
+	sp := t.cfg.Obs.Begin(obs.OpGet, t.cfg.Session, ctx)
+	defer func() { sp.End(err) }()
+	ch := sp.Charger()
 	if err := ch.Err(); err != nil {
-		sp.End(err)
 		return nil, false, err
 	}
 	t.mu.RLock()
 	defer func() {
 		t.mu.RUnlock()
 		t.stats.Gets.Inc()
-		ch.Settle()
-		sp.End(err)
 	}()
 	if v, tomb, found := t.mem.get(key, ch); found {
 		return v, !tomb, nil
 	}
+	ch = sp.IO() // past the memtable, a table lookup may read the device
 	h1, h2 := bloomHashes(key)
 	for _, tbl := range t.levels[0] {
-		e, found, err := t.tableGet(tbl, key, h1, h2, ch, &sp)
+		e, found, err := t.tableGet(tbl, key, h1, h2, ch)
 		if err != nil {
 			return nil, false, err
 		}
@@ -323,7 +318,7 @@ func (t *Tree) get(key []byte, ch *sim.Charger) (_ []byte, _ bool, err error) {
 		if i >= len(tables) || bytes.Compare(key, tables[i].min) < 0 {
 			continue
 		}
-		e, found, err := t.tableGet(tables[i], key, h1, h2, ch, &sp)
+		e, found, err := t.tableGet(tables[i], key, h1, h2, ch)
 		if err != nil {
 			return nil, false, err
 		}
@@ -337,14 +332,13 @@ func (t *Tree) get(key []byte, ch *sim.Charger) (_ []byte, _ bool, err error) {
 // tableGet looks key up in one table: bloom probe with the lookup's hash
 // pair, binary search of the resident index, then one device read for the
 // record.
-func (t *Tree) tableGet(tbl *sstable, key []byte, h1, h2 uint64, ch *sim.Charger, sp *obs.Span) (kv, bool, error) {
+func (t *Tree) tableGet(tbl *sstable, key []byte, h1, h2 uint64, ch *sim.Charger) (kv, bool, error) {
 	ch.Hash()
 	if !tbl.filter.mayContain(h1, h2) {
 		t.stats.BloomSkips.Inc()
 		return kv{}, false, nil
 	}
 	t.stats.TableReads.Inc()
-	sp.Miss() // bloom filter passed: this lookup reads the table on device
 	i := tbl.search(key)
 	ch.Compare(ilog2(tbl.entries()))
 	if i >= tbl.entries() || !bytes.Equal(tbl.key(i), key) {
@@ -441,9 +435,9 @@ func (t *Tree) compactLocked(lvl int, ch *sim.Charger) error {
 	// The reads are charged to no operation; ch pays for the comparisons.
 	it := mergeIter{dropTombs: next == len(t.levels)-1, ch: ch}
 	for i := range ups {
-		it.add(t.newTableCursor(ups[i:i+1], nil, 0, nil, nil))
+		it.add(t.newTableCursor(ups[i:i+1], nil, 0, nil))
 	}
-	it.add(t.newTableCursor(downs, nil, 0, nil, nil))
+	it.add(t.newTableCursor(downs, nil, 0, nil))
 
 	// Write merged runs as tables capped near the memtable size, as they
 	// fill. Allocation state advances in locals and commits only if every
@@ -515,27 +509,20 @@ func (t *Tree) compactLocked(lvl int, ch *sim.Charger) error {
 // tables, until fn returns false or limit pairs are visited (limit <= 0
 // means unlimited). It holds a shared lock for a consistent snapshot.
 func (t *Tree) Scan(start []byte, limit int, fn func(k, v []byte) bool) error {
-	return t.scan(start, limit, fn, t.cfg.Session.Begin())
+	return t.ScanCtx(context.TODO(), start, limit, fn)
 }
 
 // ScanCtx is Scan bounded by ctx: the context aborts table reads between
 // levels, so a cancelled scan stops issuing large sequential I/Os.
-func (t *Tree) ScanCtx(ctx context.Context, start []byte, limit int, fn func(k, v []byte) bool) error {
-	return t.scan(start, limit, fn, t.cfg.Session.Begin().WithContext(ctx))
-}
-
-func (t *Tree) scan(start []byte, limit int, fn func(k, v []byte) bool, ch *sim.Charger) (err error) {
-	sp := t.cfg.Obs.Start(obs.OpScan)
+func (t *Tree) ScanCtx(ctx context.Context, start []byte, limit int, fn func(k, v []byte) bool) (err error) {
+	sp := t.cfg.Obs.Begin(obs.OpScan, t.cfg.Session, ctx)
+	defer func() { sp.End(err) }()
+	ch := sp.IO() // the table cursors read the device
 	if err := ch.Err(); err != nil {
-		sp.End(err)
 		return err
 	}
 	t.mu.RLock()
-	defer func() {
-		t.mu.RUnlock()
-		ch.Settle()
-		sp.End(err)
-	}()
+	defer t.mu.RUnlock()
 
 	// Sources newest first: memtable, each L0 table, one cursor per deeper
 	// level. A bounded scan reads ahead limit records per fetch, because no
@@ -544,11 +531,11 @@ func (t *Tree) scan(start []byte, limit int, fn func(k, v []byte) bool, ch *sim.
 	it := mergeIter{dropTombs: true, ch: ch}
 	it.add(&memCursor{e: t.mem.seek(start)})
 	for i := range t.levels[0] {
-		it.add(t.newTableCursor(t.levels[0][i:i+1], start, limit, ch, &sp))
+		it.add(t.newTableCursor(t.levels[0][i:i+1], start, limit, ch))
 	}
 	for _, tables := range t.levels[1:] {
 		if len(tables) > 0 {
-			it.add(t.newTableCursor(tables, start, limit, ch, &sp))
+			it.add(t.newTableCursor(tables, start, limit, ch))
 		}
 	}
 	for visited := 0; limit <= 0 || visited < limit; visited++ {

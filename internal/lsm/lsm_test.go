@@ -10,7 +10,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"costperf/internal/obs"
 	"costperf/internal/sim"
 	"costperf/internal/ssd"
 	"costperf/internal/workload"
@@ -103,9 +102,8 @@ func TestSSTableRoundTrip(t *testing.T) {
 		t.Fatalf("key range [%q, %q]", tbl.min, tbl.max)
 	}
 	get := func(key string) (kv, bool, error) {
-		var sp obs.Span
 		h1, h2 := bloomHashes([]byte(key))
-		return tr.tableGet(tbl, []byte(key), h1, h2, nil, &sp)
+		return tr.tableGet(tbl, []byte(key), h1, h2, nil)
 	}
 	for _, e := range entries {
 		got, found, err := get(string(e.key))
@@ -121,7 +119,7 @@ func TestSSTableRoundTrip(t *testing.T) {
 	}
 	// An unbounded cursor reads the whole table in one I/O.
 	before := dev.Stats().Reads.Value()
-	all := drain(t, &mergeIter{}, tr.newTableCursor([]*sstable{tbl}, nil, 0, nil, nil))
+	all := drain(t, &mergeIter{}, tr.newTableCursor([]*sstable{tbl}, nil, 0, nil))
 	if len(all) != 3 || !all[1].tombstone || string(all[2].key) != "c" {
 		t.Fatalf("cursor over the table = %+v", all)
 	}

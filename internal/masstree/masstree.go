@@ -22,6 +22,7 @@ package masstree
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"sort"
 	"sync"
@@ -154,16 +155,15 @@ func (t *Tree) FootprintBytes() int64 { return t.mem.Load() }
 
 // Get returns the value stored for key.
 func (t *Tree) Get(key []byte) ([]byte, bool) {
-	sp := t.obs.Start(obs.OpGet)
+	sp := t.obs.Begin(obs.OpGet, t.session, context.TODO())
 	defer sp.End(nil)
-	ch := t.session.Begin()
+	ch := sp.Charger()
 	t.mu.RLock()
 	val, ok := t.top.get(key, ch)
 	t.mu.RUnlock()
 	if ok {
 		ch.Copy(len(val))
 	}
-	ch.Settle()
 	return val, ok
 }
 
@@ -216,11 +216,11 @@ func (b *border) search(sk slicedKey, ch *sim.Charger) int {
 
 // Put inserts or overwrites key -> val.
 func (t *Tree) Put(key, val []byte) {
-	sp := t.obs.Start(obs.OpPut)
+	sp := t.obs.Begin(obs.OpPut, t.session, context.TODO())
 	defer sp.End(nil)
 	key = append([]byte(nil), key...)
 	val = append([]byte(nil), val...)
-	ch := t.session.Begin()
+	ch := sp.Charger()
 	t.mu.Lock()
 	added, memDelta := t.top.put(key, val, ch, &t.stats)
 	t.mu.Unlock()
@@ -229,7 +229,6 @@ func (t *Tree) Put(key, val []byte) {
 		t.count.Add(1)
 	}
 	ch.Copy(len(key) + len(val))
-	ch.Settle()
 }
 
 // put returns (newKey, memoryDelta).
@@ -333,17 +332,15 @@ func insertRec(n node, ne entry, ch *sim.Charger, st *Stats, grown *int) (bool, 
 // not rebalanced (lazy deletion, as in the original's common case); empty
 // sub-layers are unlinked when their last key disappears.
 func (t *Tree) Delete(key []byte) bool {
-	sp := t.obs.Start(obs.OpDelete)
+	sp := t.obs.Begin(obs.OpDelete, t.session, context.TODO())
 	defer sp.End(nil)
-	ch := t.session.Begin()
 	t.mu.Lock()
-	removed, memDelta := t.top.del(key, ch)
+	removed, memDelta := t.top.del(key, sp.Charger())
 	t.mu.Unlock()
 	t.mem.Add(int64(memDelta))
 	if removed {
 		t.count.Add(-1)
 	}
-	ch.Settle()
 	return removed
 }
 

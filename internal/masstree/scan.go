@@ -2,6 +2,7 @@ package masstree
 
 import (
 	"bytes"
+	"context"
 	"sort"
 
 	"costperf/internal/obs"
@@ -13,14 +14,12 @@ import (
 // visited (limit <= 0 means unlimited). The scan holds a shared lock, so
 // it observes a consistent snapshot.
 func (t *Tree) Scan(start []byte, limit int, fn func(key, val []byte) bool) {
-	sp := t.obs.Start(obs.OpScan)
+	sp := t.obs.Begin(obs.OpScan, t.session, context.TODO())
 	defer sp.End(nil)
-	ch := t.session.Begin()
 	t.mu.RLock()
 	visited := 0
-	t.top.scan(nil, start, limit, &visited, fn, ch)
+	t.top.scan(nil, start, limit, &visited, fn, sp.Charger())
 	t.mu.RUnlock()
-	ch.Settle()
 }
 
 // scan walks the layer in order. prefix is the key bytes consumed by outer

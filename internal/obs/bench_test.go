@@ -17,7 +17,7 @@ func TestDisabledSpanPathAllocFree(t *testing.T) {
 	var tr *obs.Tracer
 	allocs := testing.AllocsPerRun(1000, func() {
 		sp := tr.Start(obs.OpGet)
-		sp.Miss()
+		sp.IO()
 		sp.End(nil)
 	})
 	if allocs != 0 {

@@ -5,9 +5,15 @@
 // that hit rates, R, ROPS, and IOPS are *measured* here, not assumed: a live
 // five-minute-rule breakeven is recomputed from what the stores actually did.
 //
-// The disabled path is free: a nil *Tracer hands out zero-value Spans whose
-// methods are no-ops, without allocating or reading the clock, so stores can
-// thread spans unconditionally.
+// A span is an operation's one record: it carries the operation's
+// sim.Charger, and it is a miss exactly when that charger recorded a device
+// transfer while the span was open. The ssd device is the only place a
+// transfer is recorded, and the same record makes the operation an SS
+// operation in the session's tracker, so the two meters cannot disagree.
+//
+// The disabled path is free: a nil *Tracer hands out spans that only begin
+// and settle the charger, without allocating or reading the clock, so
+// stores can thread spans unconditionally.
 package obs
 
 import (
@@ -18,6 +24,7 @@ import (
 	"time"
 
 	"costperf/internal/metrics"
+	"costperf/internal/sim"
 )
 
 // Op classifies a traced operation.
@@ -102,12 +109,12 @@ type Tracer struct {
 
 	io ioMeter
 
-	mu       sync.Mutex
-	retries  []*metrics.RetryStats
-	healths  []*metrics.Health
-	mirrors  []*metrics.MirrorStats
-	repls    []*metrics.ReplStats
-	limiters []*metrics.LimiterStats
+	mu      sync.Mutex
+	retries []*metrics.RetryStats
+	healths []*metrics.Health
+	mirrors []*metrics.MirrorStats
+	repls   []*metrics.ReplStats
+	limiter *metrics.LimiterStats // the live admission limiter, if any
 }
 
 // NewTracer returns a standalone tracer. Prefer Registry.Tracer so snapshots
@@ -124,19 +131,29 @@ func (t *Tracer) Name() string {
 	return t.name
 }
 
-// Span is a value-typed in-flight operation record. It is created by
-// Tracer.Start and finished by exactly one End* call. The zero Span (from a
-// nil tracer) is valid and every method on it is a no-op, so instrumented
-// code needs no enabled-checks.
+// Span is an operation's one in-flight record, a value type holding its
+// latency clock and its cost charger. It is created by Tracer.Start, Begin
+// or Nest and finished by exactly one End* call.
+//
+// A span is a miss when its charger recorded a device transfer
+// (sim.Charger.DeviceIO, counted only by the ssd device) between the
+// span's start and its end, and a hit otherwise. Nothing else labels it.
+//
+// The zero Span (from a nil tracer) is valid: End settles a charger the
+// span began and does nothing more, so instrumented code needs no
+// enabled-checks.
 type Span struct {
-	tr   *Tracer
-	op   Op
-	t0   time.Time
-	miss bool
+	tr  *Tracer
+	ch  *sim.Charger
+	t0  time.Time
+	io0 int64 // ch.DeviceIOs() at the start
+	op  Op
+	own bool // the span began ch, and End settles it
 }
 
-// Start begins a span for op. On a nil tracer it returns the zero Span and
-// does not read the clock.
+// Start begins a span for op that carries no charger (a front-end span,
+// or a flush charged to no operation). On a nil tracer it returns the zero
+// Span and does not read the clock.
 func (t *Tracer) Start(op Op) Span {
 	if t == nil {
 		return Span{}
@@ -144,10 +161,42 @@ func (t *Tracer) Start(op Op) Span {
 	return Span{tr: t, op: op, t0: time.Now()}
 }
 
-// Miss marks the operation as having synchronously touched secondary
-// storage (a cache/buffer-pool miss, a forced flush, a log-structured
-// page load). Unmarked spans count as hits: pure main-memory operations.
-func (s *Span) Miss() { s.miss = true }
+// Begin starts op as a store operation of its own: it begins s's charger,
+// bound to ctx, and End settles it. With a nil Session the charger is nil,
+// or detached when ctx can be cancelled (sim.Charger.WithContext). On a
+// nil tracer only the charger is begun.
+func (t *Tracer) Begin(op Op, s *sim.Session, ctx context.Context) Span {
+	ch := s.Begin().WithContext(ctx) // a fresh charger: no transfers yet
+	if t == nil {
+		return Span{ch: ch, own: true}
+	}
+	return Span{tr: t, ch: ch, op: op, t0: time.Now(), own: true}
+}
+
+// Nest starts op inside a caller's operation: the span borrows the
+// caller's charger ch (which may be nil) to learn whether this part of
+// the operation reached the device, and never settles it.
+func (t *Tracer) Nest(op Op, ch *sim.Charger) Span {
+	sp := t.Start(op)
+	sp.ch = ch
+	sp.io0 = ch.DeviceIOs()
+	return sp
+}
+
+// Charger returns the operation's charger, which may be nil: the
+// operation is then neither charged nor cancellable.
+func (s *Span) Charger() *sim.Charger { return s.ch }
+
+// IO returns the charger to pass down a path that may reach the device.
+// A traced span with no charger first gets a class-only one
+// (sim.ClassOnly), so it still learns whether the device was reached;
+// untraced, IO is Charger. Call it only on device paths: it allocates.
+func (s *Span) IO() *sim.Charger {
+	if s.ch == nil && s.tr != nil {
+		s.ch = sim.ClassOnly()
+	}
+	return s.ch
+}
 
 // End finishes the span, classifying the outcome from err: nil is OK,
 // context deadline/cancel map to timeout/canceled, anything else is an
@@ -167,7 +216,20 @@ func (s *Span) End(err error) {
 
 // EndOutcome finishes the span with an explicit outcome (the engine uses
 // this to tag shed and circuit-rejected operations).
+//
+// A charger the span began (Begin) is settled here under one rule: an
+// operation that succeeded is recorded in its session's tracker, and one
+// that failed in any way is abandoned, so the tracker counts completed
+// operations only. The span's error counters record the failure.
 func (s *Span) EndOutcome(o Outcome) {
+	if s.own {
+		s.own = false
+		if o == OutcomeOK {
+			s.ch.Settle()
+		} else {
+			s.ch.Abandon()
+		}
+	}
 	if s.tr == nil {
 		return
 	}
@@ -197,7 +259,7 @@ func (s *Span) end(o Outcome, lat int64) {
 	// only count operations that ran to completion: shed or timed-out ops
 	// never learned whether they would have hit.
 	if o == OutcomeOK || o == OutcomeError {
-		if s.miss {
+		if s.ch.DeviceIOs() != s.io0 {
 			m.misses.Add(1)
 			t.missNanos.Add(lat)
 		} else {
@@ -300,15 +362,17 @@ func (t *Tracer) FoldRepl(r *metrics.ReplStats) {
 	t.mu.Unlock()
 }
 
-// FoldLimiter attaches an admission limiter's meters (internal/overload)
-// to fold into snapshots: the live learned concurrency limit, gradient
+// SetLimiter attaches the store's live admission limiter (internal/overload)
+// so snapshots report its meters: the learned concurrency limit, gradient
 // adjustment counts, and the per-priority-class shed breakdown that makes
-// a brownout episode's shape visible in cost tables.
-func (t *Tracer) FoldLimiter(l *metrics.LimiterStats) {
+// a brownout episode's shape visible in cost tables. A tracer reports one
+// limiter: a later call replaces the earlier one, as a shard slot's new
+// owner replaces the engine it retired.
+func (t *Tracer) SetLimiter(l *metrics.LimiterStats) {
 	if t == nil || l == nil {
 		return
 	}
 	t.mu.Lock()
-	t.limiters = append(t.limiters, l)
+	t.limiter = l
 	t.mu.Unlock()
 }

@@ -11,6 +11,7 @@ import (
 	"costperf/internal/fault"
 	"costperf/internal/metrics"
 	"costperf/internal/obs"
+	"costperf/internal/sim"
 	"costperf/internal/ssd"
 )
 
@@ -121,9 +122,10 @@ func TestRetriedIOCountsPhysicalPerAttemptLogicalOnce(t *testing.T) {
 func TestSpanOutcomesAndHitMiss(t *testing.T) {
 	tr := obs.NewTracer("x")
 	for i := 0; i < 10; i++ {
-		sp := tr.Start(obs.OpGet)
+		ch := sim.ClassOnly()
+		sp := tr.Nest(obs.OpGet, ch)
 		if i%2 == 0 {
-			sp.Miss()
+			ch.DeviceIO()
 		}
 		sp.End(nil)
 	}
@@ -161,7 +163,7 @@ func TestSpanOutcomesAndHitMiss(t *testing.T) {
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *obs.Tracer
 	sp := tr.Start(obs.OpGet)
-	sp.Miss()
+	sp.IO().DeviceIO()
 	sp.End(nil)
 	sp.EndOutcome(obs.OutcomeShed) // double-end must also be safe
 	tr.ObserveIO(true, 1, 1e-6, false)
@@ -221,7 +223,7 @@ func TestSnapshotDerivedModelInputs(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		sp := tr.Start(obs.OpGet)
 		if i%4 == 0 {
-			sp.Miss()
+			sp.IO().DeviceIO()
 			for j := 0; j < 2000; j++ {
 				_ = j * j // burn a little time so misses are slower
 			}
@@ -329,7 +331,7 @@ func TestRegistryFoldsLimiterStats(t *testing.T) {
 	ls.Shed.Low.Add(7)
 	ls.Shed.Normal.Add(2)
 	ls.RetryAfterMicros.Set(1500)
-	tr.FoldLimiter(&ls)
+	tr.SetLimiter(&ls)
 
 	s := reg.Snapshots()[0]
 	if !s.Limited {

@@ -142,9 +142,9 @@ type CostSnapshot struct {
 	Promotions   int64 // standby promotions (failovers)
 	FencedWrites int64 // stale-primary commits rejected by the epoch gate
 
-	// Folded adaptive-admission accounting (internal/overload). Limited
-	// reports a limiter is attached; Limit is the live (learned or
-	// static) concurrency limit and LimitChanges the gradient's up+down
+	// The live admission limiter's accounting (internal/overload, see
+	// Tracer.SetLimiter). Limited reports a limiter is attached; Limit is
+	// the live (learned or static) concurrency limit and LimitChanges the gradient's up+down
 	// adjustments. The ShedBy* fields break shed admissions down by
 	// priority class — the brownout ladder's footprint: a healthy
 	// degradation sheds scans long before it sheds normal traffic.
@@ -225,7 +225,7 @@ func (t *Tracer) Snapshot() CostSnapshot {
 	healths := append([]*metrics.Health(nil), t.healths...)
 	mirrors := append([]*metrics.MirrorStats(nil), t.mirrors...)
 	repls := append([]*metrics.ReplStats(nil), t.repls...)
-	limiters := append([]*metrics.LimiterStats(nil), t.limiters...)
+	l := t.limiter
 	t.mu.Unlock()
 
 	for _, r := range retries {
@@ -251,17 +251,15 @@ func (t *Tracer) Snapshot() CostSnapshot {
 		s.Promotions += rp.Promotions.Value()
 		s.FencedWrites += rp.FencedWrites.Value()
 	}
-	for _, l := range limiters {
+	if l != nil {
 		s.Limited = true
-		s.Limit += l.Limit.Value()
-		s.LimitChanges += l.LimitUps.Value() + l.LimitDowns.Value()
-		s.ShedByScan += l.Shed.Scan.Value()
-		s.ShedByLow += l.Shed.Low.Value()
-		s.ShedByNormal += l.Shed.Normal.Value()
-		s.ShedByHigh += l.Shed.High.Value()
-		if ra := l.RetryAfterMicros.Value(); ra > s.RetryAfterMicros {
-			s.RetryAfterMicros = ra
-		}
+		s.Limit = l.Limit.Value()
+		s.LimitChanges = l.LimitUps.Value() + l.LimitDowns.Value()
+		s.ShedByScan = l.Shed.Scan.Value()
+		s.ShedByLow = l.Shed.Low.Value()
+		s.ShedByNormal = l.Shed.Normal.Value()
+		s.ShedByHigh = l.Shed.High.Value()
+		s.RetryAfterMicros = l.RetryAfterMicros.Value()
 	}
 	s.Health = "healthy"
 	for _, h := range healths {

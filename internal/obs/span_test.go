@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"costperf/internal/sim"
 )
 
 // TestSnapshotMeanHitMissExact ends seeded spans with known latencies and
@@ -19,10 +21,11 @@ func TestSnapshotMeanHitMissExact(t *testing.T) {
 	for i := 0; i < n; i++ {
 		lat := rng.Int63n(int64(time.Millisecond))
 		o := outcomes[rng.Intn(len(outcomes))]
-		sp := tr.Start(Op(rng.Intn(int(opCount))))
+		ch := sim.ClassOnly()
+		sp := tr.Nest(Op(rng.Intn(int(opCount))), ch)
 		miss := rng.Intn(3) == 0
 		if miss {
-			sp.Miss()
+			ch.DeviceIO()
 		}
 		sp.end(o, lat)
 		all += lat

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"costperf/internal/fault"
+	"costperf/internal/obs"
 	"costperf/internal/tc"
 )
 
@@ -288,4 +289,23 @@ func TestMigratedShardContinuesLogInPlace(t *testing.T) {
 		t.Fatalf("new owner durable LSN %d, want > %d (log continued in place)", d, oldDurable)
 	}
 	var _ tc.DataComponent = NewMassDC() // MassDC stays a DataComponent
+}
+
+// TestMigratedSlotReportsOneLimiter checks that a slot's tracer reports
+// the live owner's admission limiter only: after a migration, the retired
+// engine's limiter no longer counts toward the slot's Limit.
+func TestMigratedSlotReportsOneLimiter(t *testing.T) {
+	r := newTestRouter(t, 1, func(c *Config) { c.Registry = obs.NewRegistry() })
+	ctx := context.Background()
+	m, err := r.Migrate(MigrateConfig{Shard: 0})
+	if err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	if err := m.Run(ctx); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	want := r.Engine(0).Limiter().Stats().Limit.Value()
+	if got := r.LiveSnapshots()[0].Limit; got != want {
+		t.Fatalf("slot Limit = %d, want the new engine's %d", got, want)
+	}
 }

@@ -339,7 +339,7 @@ func (r *Router) newOwner(tg *target) (*owner, error) {
 	}
 	o.eng = eng
 	if tr != nil {
-		tr.FoldLimiter(eng.Limiter().Stats())
+		tr.SetLimiter(eng.Limiter().Stats())
 	}
 	return o, nil
 }

@@ -31,8 +31,15 @@ type Charger struct {
 	tracker *Tracker
 	cost    Cost
 	class   OpClass
+	ios     int64           // device transfers; never reset (see DeviceIOs)
 	ctx     context.Context // nil means context.Background()
 }
+
+// ClassOnly returns a charger with a zero profile and no tracker: it
+// charges no units and settles into nothing, but records the operation's
+// class and device transfers, so an operation that is traced but not
+// charged is still classified.
+func ClassOnly() *Charger { return &Charger{profile: &zeroProfile} }
 
 // WithContext binds ctx to the charger for the duration of the operation
 // and returns the charger for chaining. A nil ctx clears the binding. On
@@ -145,6 +152,26 @@ func (c *Charger) Escalate(class OpClass) {
 	}
 }
 
+// DeviceIO records one device transfer made for the operation, which makes
+// it an SS operation. The device is the only caller: an operation is an SS
+// operation exactly when it reached the device.
+func (c *Charger) DeviceIO() {
+	if c != nil {
+		c.ios++
+		c.Escalate(OpSS)
+	}
+}
+
+// DeviceIOs returns the device transfers recorded since the charger was
+// begun. Settle and Abandon do not reset it: a nested span that shares its
+// caller's charger counts its own transfers as the difference of two reads.
+func (c *Charger) DeviceIOs() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.ios
+}
+
 // Class returns the operation's current class.
 func (c *Charger) Class() OpClass {
 	if c == nil {
@@ -162,12 +189,14 @@ func (c *Charger) Cost() Cost {
 }
 
 // Settle records the finished operation in the session's tracker and
-// resets the charger for reuse.
+// resets the charger for reuse. A class-only charger records nothing.
 func (c *Charger) Settle() {
 	if c == nil {
 		return
 	}
-	c.tracker.Charge(c.class, c.cost)
+	if c.tracker != nil {
+		c.tracker.Charge(c.class, c.cost)
+	}
 	c.cost = 0
 	c.class = OpMM
 }

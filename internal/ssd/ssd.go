@@ -207,7 +207,8 @@ func (d *Device) Config() Config { return d.cfg }
 func (d *Device) Stats() *metrics.IOStats { return &d.stats }
 
 // chargeIO accrues the CPU cost of one I/O to the in-flight operation and
-// escalates it to an SS operation. A nil charger charges nothing
+// records the transfer on its charger, which makes it an SS operation. It
+// is the one place a transfer is counted. A nil charger charges nothing
 // (e.g., background flush paths measured separately).
 func (d *Device) chargeIO(ch *sim.Charger) {
 	p := ch.Profile()
@@ -217,7 +218,7 @@ func (d *Device) chargeIO(ch *sim.Charger) {
 		ch.Add(p.IOIssueUser)
 	}
 	ch.Add(p.ContextSwitch)
-	ch.Escalate(sim.OpSS)
+	ch.DeviceIO()
 }
 
 // accountBusy charges device-busy time for one I/O.

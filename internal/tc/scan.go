@@ -32,9 +32,6 @@ func (t *Tx) Scan(start []byte, limit int, fn func(key, val []byte) bool) (err e
 	if !ok {
 		return ErrNoScan
 	}
-	// The DC walk below always runs, so a snapshot scan escapes the TC's
-	// caching tiers by construction.
-	sp.Miss()
 	// Collect the overlay: own writes + visible versions, with own writes
 	// winning.
 	type overlayEntry struct {

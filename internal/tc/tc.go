@@ -1,6 +1,7 @@
 package tc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -89,8 +90,9 @@ type Config struct {
 	// Session enables execution-cost accounting (may be nil).
 	Session *sim.Session
 	// Obs, when non-nil, receives one tracing span per transactional
-	// read/commit; reads that fall through to the data component are
-	// marked as misses. Nil traces nothing at zero cost.
+	// read, scan and commit. A TC span is a miss only when the TC's own
+	// charger reached the device; a page the data component loads is the
+	// DC's miss, on the DC's tracer. Nil traces nothing at zero cost.
 	Obs *obs.Tracer
 	// CommitGate, when non-nil, is consulted at the start of every commit;
 	// a non-nil return rejects the transaction. Replication installs an
@@ -197,13 +199,14 @@ func (t *Tx) Read(key []byte) (_ []byte, _ bool, err error) {
 		return nil, false, ErrTxDone
 	}
 	tc := t.tc
-	sp := tc.cfg.Obs.Start(obs.OpGet)
+	// The span carries the TC's own charger (see Config.Obs); where the
+	// read was served is counted once, in Stats.
+	sp := tc.cfg.Obs.Begin(obs.OpGet, tc.cfg.Session, context.TODO())
 	defer func() { sp.End(err) }()
-	ch := tc.cfg.Session.Begin()
+	ch := sp.Charger()
 	ch.Hash()
 	// 1. Own writes.
 	if w, ok := t.writes[string(key)]; ok {
-		ch.Settle()
 		if w.isDelete {
 			return nil, false, nil
 		}
@@ -220,7 +223,6 @@ func (t *Tx) Read(key []byte) (_ []byte, _ bool, err error) {
 		tc.stats.VersionStoreHits.Inc()
 		ch.Chase(1)
 		ch.Copy(len(v.val))
-		ch.Settle()
 		return v.val, !v.isDelete, nil
 	}
 	// 3. Read cache.
@@ -228,15 +230,11 @@ func (t *Tx) Read(key []byte) (_ []byte, _ bool, err error) {
 		tc.stats.ReadCacheHits.Inc()
 		ch.Hash()
 		ch.Copy(len(v))
-		ch.Settle()
 		return v, true, nil
 	}
 	// 4. Data component. The TC's own caches all missed; whether the DC
-	// itself hits memory is the DC's span to report — from the TC's view
-	// this read escaped its caching tiers.
-	sp.Miss()
+	// itself reaches the device is the DC's span to report.
 	tc.stats.DCReads.Inc()
-	ch.Settle() // the DC charges its own operation
 	dv, dok, err := tc.cfg.DC.Get(key)
 	if err != nil {
 		return nil, false, err
@@ -329,7 +327,13 @@ func (t *Tx) Commit() (err error) {
 	// once GC makes the DC authoritative). Deuteronomy orders DC updates by
 	// timestamp; serializing the post-commit publication is our
 	// equivalent. Reads remain concurrent (they take the same mutex only
-	// briefly) and the log still group-commits.
+	// briefly).
+	//
+	// An acknowledged commit is not yet durable: its record is in the
+	// recovery log's write buffer (Config.LogBufferBytes, 1 MiB by
+	// default) and reaches the device at the next buffer flush, when a
+	// later append fills the buffer, or on Flush or Close. Commit does not
+	// wait for that flush; there is no group commit.
 	//
 	// Pre-image captures and the log append come first: if either fails, no
 	// version of this transaction has been installed, so the in-memory state
@@ -384,7 +388,8 @@ func (t *Tx) Abort() {
 	tc.mu.Unlock()
 }
 
-// Flush forces the recovery log to the device (group commit).
+// Flush forces the buffered recovery log to the device, making every
+// commit acknowledged before it durable.
 func (tc *TC) Flush() error { return tc.log.Flush(nil) }
 
 // oldestLocked returns the oldest snapshot a live transaction reads at: the

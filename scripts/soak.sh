@@ -1,7 +1,7 @@
 #!/bin/sh
-# soak.sh — the soak gates: long chaos and soak sweeps, each behind its
-# own variable. Every gate whose variable is set runs; with none set the
-# script does nothing. scripts/check.sh calls it after the default pass,
+# soak.sh — the soak gates: long chaos and soak sweeps, and the
+# perf-trajectory gate, each behind its own variable. Every gate whose
+# variable is set runs; with none set the script does nothing. scripts/check.sh calls it after the default pass,
 # and CI's soak jobs call it alone, one gate per job:
 #
 #   env CHECK_SHORT=1 CHECK_WIRE=1 sh scripts/soak.sh
@@ -53,6 +53,16 @@
 # retry-after hints to clients — then reruns the identical harness with
 # the limiter disabled and requires it to demonstrably fail to
 # re-converge in the same window, proving the mechanism and not the test.
+#
+# Set CHECK_MATRIX=1 for the perf-trajectory gate: run the full scenario
+# matrix (kvbench -matrix all) at a CI-sized workload, then hold benchdiff
+# to its exit-code contract — the identity diff must pass, an injected
+# 50% regression must fail, and a -report-only diff against the committed
+# BENCH_matrix.json must prove the scenario coverage never shrinks
+# (absolute numbers across machines are advisory; coverage is not). CI's
+# matrix job runs it alone:
+#
+#   env CHECK_SHORT=1 CHECK_MATRIX=1 sh scripts/soak.sh
 set -eux
 
 # The soak gates, one row each: gate variable, race detector (on/off),
@@ -76,3 +86,20 @@ CHECK_RESIZE    on   15m  TestShardResizeChaosSweep     ./internal/integration  
 CHECK_WIRE      on   15m  TestWireChaosSweep            ./internal/integration  -full
 CHECK_OVERLOAD  on   20m  TestOverloadChaosSweep        ./internal/integration  -full
 EOF
+if [ -n "${CHECK_MATRIX:-}" ]; then
+    go build -o /tmp/kvbench ./cmd/kvbench
+    go build -o /tmp/benchdiff ./cmd/benchdiff
+    /tmp/kvbench -matrix all -matrix-stores masstree,lsm -matrix-conc 8 \
+        -keys 5000 -ops 8000 -bench-out /tmp/BENCH_matrix.ci.json
+    # Identity diff must pass (exit 0)...
+    /tmp/benchdiff /tmp/BENCH_matrix.ci.json /tmp/BENCH_matrix.ci.json
+    # ...and an injected regression must fail (exit 1), proving the gate bites.
+    if /tmp/benchdiff -inject-regression 0.5 \
+        /tmp/BENCH_matrix.ci.json /tmp/BENCH_matrix.ci.json; then
+        echo "CHECK_MATRIX: injected regression was not caught" >&2
+        exit 1
+    fi
+    # Committed trajectory: metric deltas across machines are advisory
+    # (-report-only), but every committed scenario cell must still exist.
+    /tmp/benchdiff -report-only BENCH_matrix.json /tmp/BENCH_matrix.ci.json
+fi
